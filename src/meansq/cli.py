@@ -81,6 +81,14 @@ def _parse_int_list(text: str) -> list[int]:
     return out
 
 
+def _parse_tol(text):
+    """Relative tolerance: finite and non-negative, else ValueError."""
+    tol = mp.mpf(text)
+    if not mp.isfinite(tol) or tol < 0:
+        raise ValueError(f"--tol must be a finite non-negative number, got {text!r}")
+    return tol
+
+
 def _nstr(x, precision_bits: int) -> str:
     return mp.nstr(x, max(17, int(precision_bits * 0.30103)))
 
@@ -164,7 +172,7 @@ def _cmd_verify(args) -> int:
         print("verify: every k must be >= 3", file=sys.stderr)
         return USAGE_ERROR
     prec = args.prec
-    tol = mp.mpf(args.tol)
+    tol = _parse_tol(args.tol)
     cases = []
     failed = 0
     for r in r_list:
@@ -197,8 +205,10 @@ def _cmd_verify(args) -> int:
 
 
 def _check_realjs(args) -> list[dict]:
+    if args.p < 1 or args.q < 1:
+        raise ValueError(f"--p and --q must be >= 1, got {args.p} and {args.q}")
     k_list = _parse_int_list(args.k) if args.k else list(range(3, 11))
-    tol = mp.mpf(args.tol)
+    tol = _parse_tol(args.tol)
     cases = []
     for p in range(1, args.p + 1):
         for q in range(1, args.q + 1):
@@ -216,23 +226,27 @@ def _check_realjs(args) -> list[dict]:
 
 
 def _check_expsum(args) -> list[dict]:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     k_list = _parse_int_list(args.k) if args.k else list(range(3, 13))
+    tol = float(_parse_tol(args.tol))
     cases = []
     for n in range(1, args.n + 1):
         for k in k_list:
             for m in coprime_residues(k):
-                ok = power_exp_identity_check(n, m, k, precision_bits=args.prec, tol=float(args.tol))
+                ok = power_exp_identity_check(n, m, k, precision_bits=args.prec, tol=tol)
                 cases.append({"n": n, "m": m, "k": k, "pass": ok})
     return cases
 
 
 def _check_sigma_cancel(args) -> list[dict]:
     h_list = _parse_int_list(args.h) if args.h else [1, 2, 3, 4]
+    if any(h < 1 for h in h_list):
+        raise ValueError(f"every h must be >= 1, got {args.h}")
     cases = []
     for h in h_list:
-        if h >= 1:
-            ok = kl_add(sigma1(h), sigma2(h)) == {}
-            cases.append({"h": h, "identity": "odd-sum-cancels", "pass": ok})
+        ok = kl_add(sigma1(h), sigma2(h)) == {}
+        cases.append({"h": h, "identity": "odd-sum-cancels", "pass": ok})
         if h >= 2:
             ok = sigma1_prime(h) == sigma2_prime(h)
             cases.append({"h": h, "identity": "even-sums-equal", "pass": ok})
@@ -343,11 +357,20 @@ _DEFAULTS = {
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file, then from built-in defaults."""
+    """Fill unset options from the config file, then from built-in defaults.
+
+    The file must hold a JSON object whose keys are option names; anything
+    else raises ValueError.
+    """
     config = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: expected a JSON object, got {type(config).__name__}")
+        unknown = sorted(set(config) - set(_DEFAULTS) - {"pedantic"})
+        if unknown:
+            raise ValueError(f"{args.config}: unknown key(s): {', '.join(unknown)}")
     for key, fallback in _DEFAULTS.items():
         if not hasattr(args, key):
             continue
@@ -363,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"meansq: cannot read config: {exc}", file=sys.stderr)
         return USAGE_ERROR
     _emit_pedantic(args)

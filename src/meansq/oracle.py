@@ -10,6 +10,16 @@ Character values are carried as exact root-of-unity exponents (a rational
 theta with chi(m) = e^(2*pi*i*theta)) until the final conversion to a
 complex number, so no transcendental rounding enters the multiplicative
 structure.
+
+Mean squares do not enumerate characters.  The parity-restricted
+orthogonality relation (Apostol, *Introduction to Analytic Number Theory*,
+section 6.8 and chapter 12)
+
+    sum_{chi(-1) = eps} chi(a) conj(chi(b)) = (phi(k)/2) ([a = b] + eps [a = -b])
+
+collapses sum |L(r, chi)|^2 over chi(-1) = eps = (-1)^r into a sum over
+coprime residues of squares of Hurwitz zeta values (of digamma values at
+r = 1), so each of the phi(k) values is evaluated once.
 """
 
 from __future__ import annotations
@@ -218,17 +228,35 @@ def mean_square_numeric(r: int, k: int, precision_bits: int = 128):
     """sum over chi mod k with chi(-1) = (-1)^r of |L(r, chi)|^2.
 
     The parity filter matches the sign structure of the closed forms: odd r
-    pairs with odd characters, even r with even ones.  Summation is exact
-    accumulation (fsum) over an order-independent set of non-negative
-    terms, so enumeration order cannot affect the result.
+    pairs with odd characters, even r with even ones.  With eps = (-1)^r
+    and Z_a = zeta(r, a/k), expanding L(r, chi) = k^(-r) sum_a chi(a) Z_a
+    and applying the parity-restricted orthogonality relation (Apostol,
+    section 6.8 and chapter 12) leaves a sum over residues:
+
+        sum |L(r, chi)|^2
+            = phi(k) / (2 k^(2r)) * sum_{a < k/2, (a, k) = 1} (Z_a + eps Z_{k-a})^2.
+
+    At r = 1 only odd characters occur and L(1, chi) = -(1/k) sum_a chi(a)
+    psi(a/k), so the same sum holds with Z_a = psi(a/k) (digamma) and
+    prefactor phi(k)/(2 k^2).  Each Z_a is evaluated once, at
+    ``precision_bits`` plus twice the guard bits; the result is rounded to
+    ``precision_bits``.  Summation is exact accumulation (fsum) over
+    non-negative terms, so residue order cannot affect the result.
     """
     if k < 3:
         raise ValueError(f"mean_square_numeric: k must be >= 3, got {k}")
-    chars = characters_with_parity(k, "odd" if r % 2 else "even")
-    with mp.workprec(precision_bits + _GUARD_BITS):
-        total = mp.fsum(
-            abs(l_value_numeric(r, chi, precision_bits + _GUARD_BITS)) ** 2 for chi in chars
-        )
+    if r < 1:
+        raise ValueError(f"mean_square_numeric: r must be >= 1, got {r}")
+    if precision_bits < 53:
+        raise ValueError(f"mean_square_numeric: precision_bits must be >= 53, got {precision_bits}")
+    eps = -1 if r % 2 else 1
+    with mp.workprec(precision_bits + 2 * _GUARD_BITS):
+        z = {}
+        for a in coprime_residues(k):
+            x = mp.mpf(a) / k
+            z[a] = mp.digamma(x) if r == 1 else mp.zeta(r, x)
+        total = mp.fsum((z[a] + eps * z[k - a]) ** 2 for a in z if 2 * a < k)
+        total = total * int(euler_phi(k)) / (2 * mp.mpf(k) ** (2 * r))
     with mp.workprec(precision_bits):
         total = +total
     return total
@@ -255,6 +283,8 @@ def exp_sum_direct(p: int, q: int, k: int, conjugate_second: bool, precision_bit
         raise ValueError(f"exp_sum_direct: p, q must be >= 1, got ({p}, {q})")
     if k < 3:
         raise ValueError(f"exp_sum_direct: k must be >= 3, got {k}")
+    if precision_bits < 53:
+        raise ValueError(f"exp_sum_direct: precision_bits must be >= 53, got {precision_bits}")
     with mp.workprec(precision_bits + _GUARD_BITS):
         total = mp.mpc(0)
         for m in coprime_residues(k):
@@ -284,6 +314,8 @@ def power_exp_identity_check(n: int, m: int, k: int, precision_bits: int = 128, 
         raise ValueError(f"power_exp_identity_check: k must be >= 3, got {k}")
     if math.gcd(m, k) != 1:
         raise ValueError(f"power_exp_identity_check: gcd(m, k) must be 1, got m={m}, k={k}")
+    if precision_bits < 53:
+        raise ValueError(f"power_exp_identity_check: precision_bits must be >= 53, got {precision_bits}")
     with mp.workprec(precision_bits + _GUARD_BITS):
         lhs = mp.fsum((j**n * _unit_root(m * j, k) for j in range(1, k)), absolute=False)
         w = _unit_root(m, k) - 1

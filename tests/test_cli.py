@@ -1,5 +1,6 @@
 """Tests for the command-line interface (exit codes, formats, determinism)."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -104,6 +105,31 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--r", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "--r", "3", "--k", "5", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+    def test_report_pinned(self, capsys):
+        # values and bytes as the per-character route wrote them, so the
+        # residue-sum oracle must leave stdout unchanged; r = 1 (digamma), an
+        # even and an odd zeta rank, a prime and a composite modulus
+        code, out, _ = run(capsys, "verify", "--r", "1,4,5", "--k", "7,12")
+        assert code == 0
+        cases = {(c["r"], c["k"]): (c["numeric_value"], c["rel_error"]) for c in json.loads(out)["cases"]}
+        assert cases == {
+            (1, 7): ("3.0213074697212322302554564285335156537", "0.0"),
+            (1, 12): ("1.9190897446562641758844843610870293874", "3.06e-39"),
+            (4, 7): ("3.019755854680409571538010278441114096", "0.0"),
+            (4, 12): ("2.0004538304666013184441344616170774612", "0.0"),
+            (5, 7): ("3.0023045238324857196177862164292829567", "0.0"),
+            (5, 12): ("1.9999858373896766588707677396777060073", "0.0"),
+        }
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "4cc2ffa4a64d86b763cd435973657a93e3dd13a3062cd148e908e5ee88b2bfd1"
+
 
 class TestIdentityCheck:
     def test_sigma_cancel(self, capsys):
@@ -133,6 +159,22 @@ class TestIdentityCheck:
         assert code == 0
         assert json.loads(out)["summary"]["failed"] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--which", "expsum", "--prec", "20"),
+            ("--which", "realjs", "--p", "0"),
+            ("--which", "sigma-cancel", "--h", "0"),
+            ("--which", "expsum", "--n", "0"),
+        ],
+        ids=["expsum-low-prec", "realjs-p0", "sigma-cancel-h0", "expsum-n0"],
+    )
+    def test_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, "identity-check", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("identity-check:")
+
 
 class TestPlumbing:
     def test_byte_identical_stdout(self, capsys):
@@ -160,6 +202,22 @@ class TestPlumbing:
     def test_missing_config_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "--config", str(tmp_path / "absent.json"), "closed-form", "--r", "5")
         assert code == 2
+
+    def test_config_not_an_object_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "meansq.json"
+        cfg.write_text("[1]")
+        code, out, err = run(capsys, "--config", str(cfg), "closed-form", "--r", "5")
+        assert code == 2
+        assert out == ""
+        assert "cannot read config" in err
+
+    def test_config_unknown_key_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "meansq.json"
+        cfg.write_text(json.dumps({"pres": 20}))
+        code, out, err = run(capsys, "--config", str(cfg), "closed-form", "--r", "5")
+        assert code == 2
+        assert out == ""
+        assert "cannot read config" in err and "pres" in err
 
     def test_pedantic_notes_on_stderr(self, capsys):
         code, out, err = run(capsys, "closed-form", "--r", "5", "--pedantic")

@@ -7,6 +7,7 @@ import random
 import pytest
 from mpmath import mp
 
+from meansq.mean_square import mean_square_even, mean_square_odd
 from meansq.multiplicative import coprime_residues, euler_phi
 from meansq.oracle import (
     DirichletCharacter,
@@ -17,6 +18,14 @@ from meansq.oracle import (
     mean_square_numeric,
     power_exp_identity_check,
 )
+from meansq.symbolic import evaluate_closed_form
+
+
+def closed_form_value(r, k, precision_bits):
+    forms = mean_square_odd(r) if r % 2 else mean_square_even(r)
+    forms = forms if isinstance(forms, tuple) else (forms,)
+    with mp.workprec(precision_bits):
+        return mp.fsum(evaluate_closed_form(f, k, precision_bits) for f in forms)
 
 
 def all_characters(k):
@@ -193,6 +202,59 @@ class TestMeanSquareNumeric:
     def test_k_guard(self):
         with pytest.raises(ValueError):
             mean_square_numeric(3, 2, 128)
+
+    def test_r_guard(self):
+        with pytest.raises(ValueError):
+            mean_square_numeric(0, 5, 128)
+
+    def test_precision_guard(self):
+        with pytest.raises(ValueError):
+            mean_square_numeric(3, 5, 52)
+
+    @pytest.mark.parametrize(
+        "k,ranks",
+        [
+            (8, (1, 3, 4, 5)),
+            (9, (1, 3, 4, 5)),
+            (16, (1, 3, 4, 5)),
+            (25, (1, 3)),
+            (27, (1, 4)),
+            (30, (1, 3, 4, 5)),
+        ],
+    )
+    def test_three_routes_agree(self, k, ranks):
+        # residue sum, per-character sum of |L|^2 and the closed form, over
+        # 2^a, odd prime powers and a composite; the per-character route
+        # costs phi(k)^2/2 zeta calls, so 25 and 27 take fewer ranks
+        tol = mp.mpf(2) ** -120
+        for r in ranks:
+            chars = characters_with_parity(k, "odd" if r % 2 else "even")
+            residue = mean_square_numeric(r, k, 160)
+            symbolic = closed_form_value(r, k, 160)
+            with mp.workprec(160):
+                per_character = mp.fsum(abs(l_value_numeric(r, c, 160)) ** 2 for c in chars)
+                for other in (per_character, symbolic):
+                    assert abs(residue - other) / other < tol, (r, k)
+
+    @pytest.mark.parametrize(
+        "k,ranks",
+        [
+            (64, (1, 3, 9)),
+            (128, (1, 4, 8)),
+            (81, (1, 5, 7)),
+            (125, (1, 6, 9)),
+            (49, (1, 3, 7)),
+            (120, (1, 4, 6)),
+            (210, (1, 5, 8)),
+            (360, (1, 3, 9)),
+        ],
+    )
+    def test_closed_form_sweep_large_moduli(self, k, ranks):
+        for r in ranks:
+            numeric = mean_square_numeric(r, k, 128)
+            symbolic = closed_form_value(r, k, 128)
+            with mp.workprec(128):
+                assert abs(numeric - symbolic) / symbolic < mp.mpf(2) ** -120, (r, k)
 
 
 class TestExponentialSums:
