@@ -356,11 +356,36 @@ _DEFAULTS = {
 }
 
 
+# Options that take the integer-list syntax ('5', '3..7', '3,4,9'), per subcommand;
+# every other integer option takes a plain int.
+_LIST_OPTIONS = {"verify": ("r", "k"), "identity-check": ("k", "h")}
+
+
+def _config_value(command: str, key: str, value):
+    """A config value as the option holds it; ValueError naming the key otherwise."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if key == "format":
+        ok, want = value in ("latex", "json", "text"), "one of latex, json, text"
+    elif key == "tol":
+        ok, want = is_int or isinstance(value, (str, float)), "a number or a numeric string"
+    elif key == "pedantic":
+        ok, want = isinstance(value, bool), "true or false"
+    elif key in _LIST_OPTIONS.get(command, ()):
+        ok, want = is_int or isinstance(value, str), "an integer or an integer list such as '3..7'"
+        if is_int:
+            value = str(value)
+    else:
+        ok, want = is_int, "an integer"
+    if not ok:
+        raise ValueError(f"key {key!r} must be {want}, got {json.dumps(value)}")
+    return value
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     """Fill unset options from the config file, then from built-in defaults.
 
-    The file must hold a JSON object whose keys are option names; anything
-    else raises ValueError.
+    The file must hold a JSON object whose keys are option names, each with
+    a value of the type its option takes; anything else raises ValueError.
     """
     config = {}
     if args.config:
@@ -371,6 +396,14 @@ def _apply_config(args: argparse.Namespace) -> None:
         unknown = sorted(set(config) - set(_DEFAULTS) - {"pedantic"})
         if unknown:
             raise ValueError(f"{args.config}: unknown key(s): {', '.join(unknown)}")
+        try:
+            config = {
+                key: _config_value(args.command, key, value)
+                for key, value in config.items()
+                if hasattr(args, key)
+            }
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     for key, fallback in _DEFAULTS.items():
         if not hasattr(args, key):
             continue

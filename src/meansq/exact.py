@@ -92,10 +92,7 @@ def deriv_coeff(q: int, j: int) -> Fraction:
     key = (q, j)
     val = _DERIV_COEFF.get(key)
     if val is None:
-        val = sum(
-            ((-1) ** (r + q) * binomial(j - 1, r) * Fraction((j - r) ** q) for r in range(j)),
-            Fraction(0),
-        )
+        val = Fraction(sum((-1) ** (r + q) * math.comb(j - 1, r) * (j - r) ** q for r in range(j)))
         _DERIV_COEFF[key] = val
     return val
 

@@ -1,35 +1,52 @@
 """Builders for the parity-restricted mean-square closed forms.
 
 The mean square of L(r, chi) over characters of matching parity reduces to
-nested Bernoulli/binomial sums whose innermost objects are coprime-residue
-sums of real parts of powers of 1/(e^(2*pi*i*m/k) - 1); those are Jordan
+nested Bernoulli/binomial sums whose innermost objects are the coprime-residue
+sums R(n) of real parts of (e^(2*pi*i*m/k) - 1)^(-n); those are Jordan
 combinations (module ``sine_sums``), and the k-powers produced along the way
 are tracked exactly in ``KLaurent`` values.
 
-Three blocks appear per parity:
+The builders collect scalars first and expand Jordan combinations last.
+Below the published values everything is a scalar table keyed by
+(k-exponent, order n of R):
 
-* ``sigma0`` / ``sigma0_prime`` -- the single-exponential block.  It
-  collapses to phi(k)/2 for r = 1 and vanishes identically for larger r;
-  the vanishing falls out of the exact Bernoulli cancellation, the builders
-  just do the arithmetic.
-* ``sigma1`` / ``sigma1_prime`` -- the block produced by reflecting the
-  conjugate exponential sum, with its extra alternating binomial layer.
-* ``sigma2`` / ``sigma2_prime`` -- the direct product block.
+* ``_power_sum(p)`` and ``_exp_product(p, q)`` are integer tables (binomials
+  times derivative coefficients; the product table is the convolution of two
+  power-sum tables);
+* a sigma block adds Bernoulli-weighted, k-shifted copies of those tables
+  into one table of exact rationals;
+* ``sine_sums._expand_laurent`` turns that table into a ``KLaurent``,
+  expanding one Jordan combination per k-exponent.
+
+One template, ``_sigma(kind, r, q_max)``, builds all six blocks.  The
+unprimed names take r = 2h + 1 with q1, q2 <= 2h (odd case), the primed
+names r = 2h with q1, q2 <= 2h - 2 (even case); the kind picks the block:
+
+* ``single``    (``sigma0`` / ``sigma0_prime``) -- the single-exponential
+  block.  It collapses to phi(k)/2 for r = 1 and vanishes identically for
+  larger r; the vanishing falls out of the exact Bernoulli cancellation,
+  the builder just does the arithmetic.
+* ``reflected`` (``sigma1`` / ``sigma1_prime``) -- the block produced by
+  reflecting the conjugate exponential sum, with its extra alternating
+  binomial layer.
+* ``direct``    (``sigma2`` / ``sigma2_prime``) -- the direct product block.
 
 ``sigma1(h) = -sigma2(h)`` and ``sigma1_prime(h) = sigma2_prime(h)`` hold
 exactly; the test suite checks both since the final formulas rely on them.
 
-All builders are memoized per h and pure; every returned value is a fresh
-copy, so published table entries are never exposed to mutation.
+All builders are memoized and pure.  The sigma memo holds fully expanded
+values, so a hit does no arithmetic; every returned value is a fresh copy,
+so published table entries are never exposed to mutation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from .exact import bernoulli, binomial, deriv_coeff, factorial
-from .sine_sums import _recip_power_real
-from .symbolic import ClosedForm, JordanCombo, KLaurent, evaluate_laurent, kl_shift
+from .exact import bernoulli, deriv_coeff, factorial
+from .sine_sums import _expand_laurent
+from .symbolic import ClosedForm, KLaurent, evaluate_laurent, kl_shift
 
 __all__ = [
     "exp_product_real",
@@ -48,97 +65,70 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# In-place accumulation helpers (results are handed out as copies only)
+# Exponential-sum primitives: integer tables {(k-exponent, order of R): coeff}
 # ---------------------------------------------------------------------------
 
-def _jc_iadd(dst: dict, combo: JordanCombo, coeff: Fraction) -> None:
-    if not coeff:
-        return
-    for s, c in combo.items():
-        v = dst.get(s, 0) + c * coeff
-        if v:
-            dst[s] = v
-        else:
-            dst.pop(s, None)
+ProductTable = dict[tuple[int, int], int]
+
+_PRODUCT_MEMO: dict[tuple[int, int], ProductTable] = {}
+_POWER_SUM_MEMO: dict[int, ProductTable] = {}
 
 
-def _kl_iadd(dst: dict, e: int, combo: JordanCombo, coeff: Fraction) -> None:
-    cell = dst.setdefault(e, {})
-    _jc_iadd(cell, combo, coeff)
-    if not cell:
-        del dst[e]
+def _power_sum(p: int) -> ProductTable:
+    """Coprime-sum of sum_{j=1}^{k-1} j^p e^(2*pi*i*m*j/k) (real by pairing).
+
+    Expanding through the derivative coefficients of 1/(e^w - 1) gives
+
+        sum_{j=1}^{p} sum_{alpha=1}^{p-j+1} C(p,j) A(p-j, alpha) k^j R(alpha)
+
+    with R(n) the reciprocal-power sum from ``sine_sums``; the table maps
+    (j, alpha) to the integer C(p,j) A(p-j, alpha).
+    """
+    table = _POWER_SUM_MEMO.get(p)
+    if table is None:
+        table = _POWER_SUM_MEMO[p] = {
+            (j, alpha): comb(p, j) * int(deriv_coeff(p - j, alpha))
+            for j in range(1, p + 1)
+            for alpha in range(1, p - j + 2)
+        }
+    return table
 
 
-def _kl_copy(laurent: KLaurent) -> KLaurent:
-    return {e: dict(combo) for e, combo in laurent.items()}
-
-
-# ---------------------------------------------------------------------------
-# Exponential-sum primitives (exact, as KLaurent)
-# ---------------------------------------------------------------------------
-
-_PRODUCT_MEMO: dict[tuple[int, int], KLaurent] = {}
-_POWER_SUM_MEMO: dict[int, KLaurent] = {}
-
-
-def _exp_product(p: int, q: int) -> KLaurent:
+def _exp_product(p: int, q: int) -> ProductTable:
     """Coprime-sum of Re[(sum_j j^p e^(2*pi*i*m*j/k)) (sum_s s^q e^(2*pi*i*m*s/k))].
 
-    Expanding each inner sum through the derivative coefficients of
-    1/(e^w - 1) and taking real parts gives
+    Taking real parts of the product of the two expansions gives
 
-        sum_{j=1}^{p} sum_{s=1}^{q} C(p,j) C(q,s) k^(j+s)
-          sum_{alpha=1}^{p-j+1} sum_{beta=1}^{q-s+1}
-            A(p-j, alpha) A(q-s, beta) * R(alpha+beta)
+        sum_{j,s} C(p,j) C(q,s) k^(j+s)
+          sum_{alpha,beta} A(p-j, alpha) A(q-s, beta) * R(alpha+beta),
 
-    with R(n) the Jordan combination from ``sine_sums``.  Symmetric in
-    (p, q); memoized under the sorted key.
+    the convolution of the two power-sum tables over (k-exponent, order).
+    Symmetric in (p, q); memoized under the sorted key.
     """
     key = (p, q) if p <= q else (q, p)
-    cached = _PRODUCT_MEMO.get(key)
-    if cached is not None:
-        return cached
-    p, q = key
-    out: KLaurent = {}
-    for j in range(1, p + 1):
-        cpj = binomial(p, j)
-        for alpha in range(1, p - j + 2):
-            wa = cpj * deriv_coeff(p - j, alpha)
-            for s in range(1, q + 1):
-                cqs = binomial(q, s)
-                e = j + s
-                for beta in range(1, q - s + 2):
-                    coeff = wa * cqs * deriv_coeff(q - s, beta)
-                    _kl_iadd(out, e, _recip_power_real(alpha + beta, None), coeff)
-    _PRODUCT_MEMO[key] = out
-    return out
+    table = _PRODUCT_MEMO.get(key)
+    if table is None:
+        table = {}
+        left, right = _power_sum(key[0]), _power_sum(key[1])
+        for (j, alpha), a in left.items():
+            for (s, beta), b in right.items():
+                cell = (j + s, alpha + beta)
+                table[cell] = table.get(cell, 0) + a * b
+        table = _PRODUCT_MEMO[key] = {cell: v for cell, v in table.items() if v}
+    return table
 
 
 def exp_product_real(p: int, q: int) -> KLaurent:
-    """Public copy-returning wrapper around the memoized product sum."""
+    """The paired product sum ``_exp_product(p, q)`` as an exact KLaurent."""
     if p < 1 or q < 1:
         raise ValueError(f"exp_product_real: p, q must be >= 1, got ({p}, {q})")
-    return _kl_copy(_exp_product(p, q))
-
-
-def _power_sum_real(p: int) -> KLaurent:
-    """Coprime-sum of sum_{j=1}^{k-1} j^p e^(2*pi*i*m*j/k) (real by pairing)."""
-    cached = _POWER_SUM_MEMO.get(p)
-    if cached is not None:
-        return cached
-    out: KLaurent = {}
-    for j in range(1, p + 1):
-        cpj = binomial(p, j)
-        for alpha in range(1, p - j + 2):
-            _kl_iadd(out, j, _recip_power_real(alpha, None), cpj * deriv_coeff(p - j, alpha))
-    _POWER_SUM_MEMO[p] = out
-    return out
+    return _expand_laurent(_exp_product(p, q))
 
 
 def power_sum_real(p: int) -> KLaurent:
     if p < 1:
         raise ValueError(f"power_sum_real: p must be >= 1, got {p}")
-    return _kl_copy(_power_sum_real(p))
+    return _expand_laurent(_power_sum(p))
 
 
 def realjs_rhs_exact(p: int, q: int, k: int) -> Fraction:
@@ -147,22 +137,63 @@ def realjs_rhs_exact(p: int, q: int, k: int) -> Fraction:
         raise ValueError(f"realjs_rhs_exact: p, q must be >= 1, got ({p}, {q})")
     if k < 3:
         raise ValueError(f"realjs_rhs_exact: k must be >= 3, got {k}")
-    return evaluate_laurent(_exp_product(p, q), k)
+    return evaluate_laurent(_expand_laurent(_exp_product(p, q)), k)
 
 
 # ---------------------------------------------------------------------------
-# Odd case (r = 2h + 1): sigma blocks
+# Sigma blocks: one template for both parities and all three kinds
 # ---------------------------------------------------------------------------
 
-_SIGMA_MEMO: dict[tuple[str, int], KLaurent] = {}
+_SIGMA_MEMO: dict[tuple[str, int, int], KLaurent] = {}
 
 
-def _memo_sigma(name: str, h: int, build) -> KLaurent:
-    key = (name, h)
-    cached = _SIGMA_MEMO.get(key)
-    if cached is None:
-        cached = _SIGMA_MEMO[key] = build()
-    return _kl_copy(cached)
+def _kl_copy(laurent: KLaurent) -> KLaurent:
+    return {e: dict(combo) for e, combo in laurent.items()}
+
+
+def _sigma(kind: str, r: int, q_max: int) -> KLaurent:
+    """Sigma block of rank r, as a fresh copy of the memoized expansion.
+
+    With w = B_{q1} B_{q2} C(r, q1) C(r, q2) summed over q1, q2 in [0, q_max]:
+
+    * ``direct``    -- w k^(q1+q2-2r) P(r-q1, r-q2);
+    * ``reflected`` -- w sum_{a=0}^{r-q2-1} (-1)^(r-q2-a) C(r-q2, a)
+                       k^(a+q1+q2-2r) P(r-q1, r-q2-a);
+    * ``single``    -- -w k^(q1-r) S(r-q1);
+
+    with P the paired product sum and S the power sum.  The scalars are
+    collected per (k-exponent, order of R) and expanded once at the end.
+    """
+    key = (kind, r, q_max)
+    block = _SIGMA_MEMO.get(key)
+    if block is None:
+        acc: dict[tuple[int, int], Fraction] = {}
+
+        def add(table: ProductTable, weight: Fraction, shift: int) -> None:
+            for (e, n), v in table.items():
+                cell = (e + shift, n)
+                acc[cell] = acc.get(cell, 0) + weight * v
+
+        for q1 in range(q_max + 1):
+            b1 = bernoulli(q1)
+            if not b1:
+                continue
+            w1 = b1 * comb(r, q1)
+            for q2 in range(q_max + 1):
+                b2 = bernoulli(q2)
+                if not b2:
+                    continue
+                w = w1 * b2 * comb(r, q2)
+                if kind == "direct":
+                    add(_exp_product(r - q1, r - q2), w, q1 + q2 - 2 * r)
+                elif kind == "reflected":
+                    for a in range(r - q2):
+                        sign = (-1) ** (r - q2 - a)
+                        add(_exp_product(r - q1, r - q2 - a), sign * w * comb(r - q2, a), a + q1 + q2 - 2 * r)
+                else:
+                    add(_power_sum(r - q1), -w, q1 - r)
+        block = _SIGMA_MEMO[key] = _expand_laurent(acc)
+    return _kl_copy(block)
 
 
 def sigma2(h: int) -> KLaurent:
@@ -173,54 +204,14 @@ def sigma2(h: int) -> KLaurent:
     """
     if h < 1:
         raise ValueError(f"sigma2: h must be >= 1, got {h}")
-
-    def build() -> KLaurent:
-        r = 2 * h + 1
-        out: KLaurent = {}
-        for q1 in range(2 * h + 1):
-            b1 = bernoulli(q1)
-            if not b1:
-                continue
-            w1 = b1 * binomial(r, q1)
-            for q2 in range(2 * h + 1):
-                b2 = bernoulli(q2)
-                if not b2:
-                    continue
-                coeff = w1 * b2 * binomial(r, q2)
-                shift = q1 + q2 - 4 * h - 2
-                for e, combo in _exp_product(r - q1, r - q2).items():
-                    _kl_iadd(out, e + shift, combo, coeff)
-        return out
-
-    return _memo_sigma("sigma2", h, build)
+    return _sigma("direct", 2 * h + 1, 2 * h)
 
 
 def sigma1(h: int) -> KLaurent:
     """Reflected block of the odd case, with its alternating a-layer."""
     if h < 1:
         raise ValueError(f"sigma1: h must be >= 1, got {h}")
-
-    def build() -> KLaurent:
-        r = 2 * h + 1
-        out: KLaurent = {}
-        for q1 in range(2 * h + 1):
-            b1 = bernoulli(q1)
-            if not b1:
-                continue
-            w1 = b1 * binomial(r, q1)
-            for q2 in range(2 * h + 1):
-                b2 = bernoulli(q2)
-                if not b2:
-                    continue
-                w2 = w1 * b2 * binomial(r, q2)
-                for a in range(2 * h - q2 + 1):
-                    coeff = w2 * (-1) ** (r - q2 - a) * binomial(r - q2, a)
-                    shift = a + q1 + q2 - 4 * h - 2
-                    for e, combo in _exp_product(r - q1, r - q2 - a).items():
-                        _kl_iadd(out, e + shift, combo, coeff)
-        return out
-
-    return _memo_sigma("sigma1", h, build)
+    return _sigma("reflected", 2 * h + 1, 2 * h)
 
 
 def sigma0(h: int) -> KLaurent:
@@ -231,109 +222,28 @@ def sigma0(h: int) -> KLaurent:
     """
     if h < 0:
         raise ValueError(f"sigma0: h must be >= 0, got {h}")
-    def build() -> KLaurent:
-        r = 2 * h + 1
-        out: KLaurent = {}
-        for q1 in range(2 * h + 1):
-            b1 = bernoulli(q1)
-            if not b1:
-                continue
-            w1 = b1 * binomial(r, q1)
-            for q2 in range(2 * h + 1):
-                b2 = bernoulli(q2)
-                if not b2:
-                    continue
-                coeff = -w1 * b2 * binomial(r, q2)
-                shift = q1 - 2 * h - 1
-                for e, combo in _power_sum_real(r - q1).items():
-                    _kl_iadd(out, e + shift, combo, coeff)
-        return out
+    return _sigma("single", 2 * h + 1, 2 * h)
 
-    return _memo_sigma("sigma0", h, build)
-
-
-# ---------------------------------------------------------------------------
-# Even case (r = 2h, h >= 2): primed sigma blocks
-# ---------------------------------------------------------------------------
 
 def sigma2_prime(h: int) -> KLaurent:
     """Direct product block of the even case (q1, q2 stop at 2h - 2)."""
     if h < 2:
         raise ValueError(f"sigma2_prime: h must be >= 2, got {h}")
-
-    def build() -> KLaurent:
-        r = 2 * h
-        out: KLaurent = {}
-        for q1 in range(2 * h - 1):
-            b1 = bernoulli(q1)
-            if not b1:
-                continue
-            w1 = b1 * binomial(r, q1)
-            for q2 in range(2 * h - 1):
-                b2 = bernoulli(q2)
-                if not b2:
-                    continue
-                coeff = w1 * b2 * binomial(r, q2)
-                shift = q1 + q2 - 4 * h
-                for e, combo in _exp_product(r - q1, r - q2).items():
-                    _kl_iadd(out, e + shift, combo, coeff)
-        return out
-
-    return _memo_sigma("sigma2p", h, build)
+    return _sigma("direct", 2 * h, 2 * h - 2)
 
 
 def sigma1_prime(h: int) -> KLaurent:
     """Reflected block of the even case."""
     if h < 2:
         raise ValueError(f"sigma1_prime: h must be >= 2, got {h}")
-
-    def build() -> KLaurent:
-        r = 2 * h
-        out: KLaurent = {}
-        for q1 in range(2 * h - 1):
-            b1 = bernoulli(q1)
-            if not b1:
-                continue
-            w1 = b1 * binomial(r, q1)
-            for q2 in range(2 * h - 1):
-                b2 = bernoulli(q2)
-                if not b2:
-                    continue
-                w2 = w1 * b2 * binomial(r, q2)
-                for a in range(2 * h - q2):
-                    coeff = w2 * (-1) ** (r - q2 - a) * binomial(r - q2, a)
-                    shift = a + q1 + q2 - 4 * h
-                    for e, combo in _exp_product(r - q1, r - q2 - a).items():
-                        _kl_iadd(out, e + shift, combo, coeff)
-        return out
-
-    return _memo_sigma("sigma1p", h, build)
+    return _sigma("reflected", 2 * h, 2 * h - 2)
 
 
 def sigma0_prime(h: int) -> KLaurent:
     """Single-exponential block of the even case; empty for every h >= 2."""
     if h < 2:
         raise ValueError(f"sigma0_prime: h must be >= 2, got {h}")
-
-    def build() -> KLaurent:
-        r = 2 * h
-        out: KLaurent = {}
-        for q1 in range(2 * h - 1):
-            b1 = bernoulli(q1)
-            if not b1:
-                continue
-            w1 = b1 * binomial(r, q1)
-            for q2 in range(2 * h - 1):
-                b2 = bernoulli(q2)
-                if not b2:
-                    continue
-                coeff = -w1 * b2 * binomial(r, q2)
-                shift = q1 - 2 * h
-                for e, combo in _power_sum_real(r - q1).items():
-                    _kl_iadd(out, e + shift, combo, coeff)
-        return out
-
-    return _memo_sigma("sigma0p", h, build)
+    return _sigma("single", 2 * h, 2 * h - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +271,7 @@ def mean_square_odd(r: int) -> ClosedForm | tuple[ClosedForm, ClosedForm]:
         scalar=scalar,
         pi_exp=2 * r,
         phi_exp=1,
-        body=kl_shift(sigma2(h) if h >= 1 else _sigma2_h0(), -2),
+        body=kl_shift(sigma2(h) if h >= 1 else _sigma("direct", 1, 0), -2),
     )
     if r > 1:
         return main_form
@@ -375,14 +285,6 @@ def mean_square_odd(r: int) -> ClosedForm | tuple[ClosedForm, ClosedForm]:
         body=kl_shift(sigma0(0), -2),
     )
     return main_form, correction
-
-
-def _sigma2_h0() -> KLaurent:
-    """The direct product block at h = 0 (only the r = 1 extension needs it)."""
-    out: KLaurent = {}
-    for e, combo in _exp_product(1, 1).items():
-        _kl_iadd(out, e - 2, combo, Fraction(1))
-    return out
 
 
 def mean_square_even(r: int) -> ClosedForm:

@@ -9,27 +9,39 @@ expanding the principal-character L-value at an even integer two ways and
 isolating the top sine power expresses the sum of order n through the sums
 of smaller even order, Bernoulli numbers and binomial coefficients.
 
-The induction step is assembled as a Laurent polynomial in k whose
-coefficients are Jordan combinations.  The final answer is k-free, so after
-collecting terms every nonzero k-power must have an identically zero
-coefficient.  That cancellation is *checked*, not assumed: if any nonzero
-power survives, ``UncancelledPowerError`` is raised (it would signal an
-implementation error, since the published expansions carry no k).
+The induction step is a Laurent polynomial in k whose coefficients are
+Jordan combinations.  It is built by collecting scalars first and expanding
+Jordan combinations last:
 
-``recip_power_real_sum(n)`` is the shared building block: the coprime-sum of
-the real part of (e^(2*pi*i*m/k) - 1)^(-n), reduced to sine power sums via
-the explicit Chebyshev representations of cos/sin of multiple angles.
+* ``_recip_power_real(n, exclude)`` is a memoized table {sine order m:
+  scalar} for the coprime-sum R(n) of the real part of
+  (e^(2*pi*i*m/k) - 1)^(-n), reduced to sine power sums via the explicit
+  Chebyshev representations of cos/sin of multiple angles;
+* ``_induction_weights(n)`` sums the Bernoulli/binomial scalars of the step
+  per k-exponent e, since the bracket they multiply depends on e alone;
+* ``_expand_laurent`` collects a {(k-exponent, order of R): scalar} table
+  into one {sine order: scalar} table per k-exponent and expands each into
+  a Jordan combination once.  The mean-square builders use it too.
+
+The final answer is k-free, so after collecting terms every nonzero k-power
+must have an identically zero coefficient.  That cancellation is *checked*
+on the expanded combinations, not assumed: if any nonzero power survives,
+``UncancelledPowerError`` is raised (it would signal an implementation
+error, since the published expansions carry no k).
+
+``recip_power_real_sum(n)`` publishes R(n) as a Jordan combination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from mpmath import mp
 
-from .exact import bernoulli, binomial, deriv_coeff, factorial
+from .exact import bernoulli, deriv_coeff, factorial
 from .multiplicative import coprime_residues
-from .symbolic import JordanCombo, KLaurent, jc_add, jc_scale
+from .symbolic import JordanCombo, KLaurent, jc_add
 
 __all__ = [
     "UncancelledPowerError",
@@ -43,12 +55,26 @@ class UncancelledPowerError(RuntimeError):
     """A k-power survived a collection that must be k-free."""
 
 
+# {m: coeff} for sum_m coeff * SIN(m), with SIN(m) the order-m sine power sum.
+SineTable = dict[int, Fraction]
+
 _SIN_MEMO: dict[int, JordanCombo] = {0: {1: Fraction(1)}}
-_RECIP_MEMO: dict[tuple[int, int | None], JordanCombo] = {}
+_RECIP_MEMO: dict[tuple[int, int | None], SineTable] = {}
 
 
-def _recip_power_real(n: int, exclude: int | None) -> JordanCombo:
-    """Coprime-sum of Re (e^(2*pi*i*m/k) - 1)^(-n) as a Jordan combination.
+def _sin(n: int) -> JordanCombo:
+    """The memoized order-n sum itself (shared: callers must not mutate it)."""
+    combo = _SIN_MEMO.get(n)
+    if combo is None:
+        for m in range(2, n + 1, 2):
+            if m not in _SIN_MEMO:
+                _SIN_MEMO[m] = _compute_sin_sum(m)
+        combo = _SIN_MEMO[n]
+    return combo
+
+
+def _recip_power_real(n: int, exclude: int | None) -> SineTable:
+    """Coprime-sum of Re (e^(2*pi*i*m/k) - 1)^(-n) as a table of sine sums.
 
     Single merged formula for both parities of n: with half = floor(n/2) and
     E = n for even n, 1 for odd n,
@@ -59,7 +85,8 @@ def _recip_power_real(n: int, exclude: int | None) -> JordanCombo:
     Terms whose literal exponent n - 2d equals ``exclude`` are skipped; this
     is how the induction in sin_sum_exact removes the top-order sum it is
     solving for.  (For odd n the literal n - 2d is odd and never matches an
-    even ``exclude``, so the skip is vacuous there.)
+    even ``exclude``, so the skip is vacuous there.)  The table holds only
+    scalars, so it needs no sine sum to be built first.
     """
     if exclude is not None and (exclude > n or (n - exclude) % 2):
         exclude = None
@@ -69,7 +96,7 @@ def _recip_power_real(n: int, exclude: int | None) -> JordanCombo:
         return cached
     half = n // 2
     scale = Fraction(n if n % 2 == 0 else 1) * (-1) ** ((n + 1) // 2)
-    total: JordanCombo = {}
+    table: SineTable = {}
     for c in range(half + 1):
         coeff_c = (
             scale
@@ -80,17 +107,69 @@ def _recip_power_real(n: int, exclude: int | None) -> JordanCombo:
         for d in range(half - c + 1):
             if exclude is not None and n - 2 * d == exclude:
                 continue
-            coeff = coeff_c * (-1) ** d * binomial(half - c, d)
-            total = jc_add(total, jc_scale(sin_sum_exact(2 * half - 2 * d), coeff))
-    _RECIP_MEMO[key] = total
-    return total
+            m = 2 * half - 2 * d
+            table[m] = table.get(m, 0) + coeff_c * (-1) ** d * comb(half - c, d)
+    table = _RECIP_MEMO[key] = {m: v for m, v in table.items() if v}
+    return table
+
+
+def _expand(table: SineTable) -> JordanCombo:
+    """sum_m table[m] * SIN(m) as a fresh Jordan combination."""
+    out: JordanCombo = {}
+    for m, coeff in table.items():
+        if not coeff:
+            continue
+        for s, c in _sin(m).items():
+            out[s] = out.get(s, 0) + coeff * c
+    return {s: c for s, c in out.items() if c}
+
+
+def _expand_laurent(table: dict[tuple[int, int], Fraction | int], exclude: int | None = None) -> KLaurent:
+    """sum over (e, n) of table[e, n] * k^e * R(n), R(n) = ``_recip_power_real(n, exclude)``.
+
+    The scalars are first collected per (k-exponent, sine order); each
+    k-exponent's Jordan combination is then expanded once.
+    """
+    by_exponent: dict[int, SineTable] = {}
+    for (e, n), v in table.items():
+        if not v:
+            continue
+        cell = by_exponent.setdefault(e, {})
+        for m, c in _recip_power_real(n, exclude).items():
+            cell[m] = cell.get(m, 0) + v * c
+    out: KLaurent = {}
+    for e, cell in by_exponent.items():
+        combo = _expand(cell)
+        if combo:
+            out[e] = combo
+    return out
 
 
 def recip_power_real_sum(n: int) -> JordanCombo:
-    """Public copy-returning wrapper around the memoized expansion."""
+    """Coprime-sum of Re (e^(2*pi*i*m/k) - 1)^(-n) as a Jordan combination."""
     if n < 1:
         raise ValueError(f"recip_power_real_sum: n must be >= 1, got {n}")
-    return dict(_recip_power_real(n, None))
+    return _expand(_recip_power_real(n, None))
+
+
+def _induction_weights(n: int) -> dict[int, Fraction]:
+    """Scalar weight of k^e in the order-n induction step, per exponent e.
+
+    The (q, j) term multiplies k^(q+j-1) by the bracket of p = n - q - j,
+    so the bracket depends on e = q + j - 1 alone (p = n - 1 - e) and the
+    (q, j) scalars are summed per e before any bracket is formed.
+    """
+    pref = (-1) ** (n // 2) * Fraction(2) ** n / factorial(n)
+    weights: dict[int, Fraction] = {}
+    for q in range(n + 1):
+        bq = bernoulli(q)
+        if not bq:
+            continue
+        wq = pref * comb(n, q) * bq
+        for j in range(1, n - q + 1):
+            e = q + j - 1
+            weights[e] = weights.get(e, 0) + wq * comb(n - q, j)
+    return weights
 
 
 def _recursion_laurent(n: int) -> KLaurent:
@@ -99,32 +178,18 @@ def _recursion_laurent(n: int) -> KLaurent:
     Exposed (privately) so tests can check that every nonzero k-exponent
     carries an identically zero coefficient.
     """
+    table = {
+        (e, alpha): w * int(deriv_coeff(n - 1 - e, alpha))
+        for e, w in _induction_weights(n).items()
+        for alpha in range(1, n - e + 1)
+    }
+    laurent = _expand_laurent(table, exclude=n)
     lead = (-1) ** (n // 2 + 1) * Fraction(2) ** n * bernoulli(n) / factorial(n)
-    laurent: KLaurent = {0: {n: lead}}
-    pref = (-1) ** (n // 2) * Fraction(2) ** n / factorial(n)
-    brackets: dict[int, JordanCombo] = {}
-    for q in range(n + 1):
-        bq = bernoulli(q)
-        if not bq:
-            continue
-        for j in range(1, n - q + 1):
-            p = n - q - j
-            bracket = brackets.get(p)
-            if bracket is None:
-                bracket = {}
-                for alpha in range(1, p + 2):
-                    bracket = jc_add(
-                        bracket,
-                        jc_scale(_recip_power_real(alpha, exclude=n), deriv_coeff(p, alpha)),
-                    )
-                brackets[p] = bracket
-            coeff = pref * binomial(n, q) * bq * binomial(n - q, j)
-            e = q + j - 1
-            merged = jc_add(laurent.get(e, {}), jc_scale(bracket, coeff))
-            if merged:
-                laurent[e] = merged
-            else:
-                laurent.pop(e, None)
+    top = jc_add(laurent.get(0, {}), {n: lead})
+    if top:
+        laurent[0] = top
+    else:
+        laurent.pop(0, None)
     return laurent
 
 
@@ -149,10 +214,7 @@ def sin_sum_exact(n: int) -> JordanCombo:
         raise ValueError(f"sin_sum_exact: n must be >= 0, got {n}")
     if n % 2:
         raise ValueError(f"sin_sum_exact: n must be even, got {n}")
-    for m in range(2, n + 1, 2):
-        if m not in _SIN_MEMO:
-            _SIN_MEMO[m] = _compute_sin_sum(m)
-    return dict(_SIN_MEMO[n])
+    return dict(_sin(n))
 
 
 def sin_sum_numeric(n: int, k: int, precision_bits: int = 128):

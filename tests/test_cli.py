@@ -229,3 +229,55 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["closed-form", "--bogus"])
         assert exc.value.code == 2
+
+
+class TestConfigValueTypes:
+    @pytest.mark.parametrize(
+        "config,argv,key",
+        [
+            ({"r": "5"}, ("closed-form",), "r"),
+            ({"prec": "128"}, ("verify", "--r", "3", "--k", "5"), "prec"),
+            ({"n": 4.0}, ("sin-sum",), "n"),
+            ({"prec": True}, ("verify", "--r", "3", "--k", "5"), "prec"),
+            ({"k": "7"}, ("sin-sum", "--n", "2"), "k"),
+            ({"h": [1, 2]}, ("identity-check", "--which", "sigma0"), "h"),
+            ({"k": None}, ("verify", "--r", "3"), "k"),
+            ({"format": "html"}, ("closed-form", "--r", "5"), "format"),
+            ({"tol": [1]}, ("verify", "--r", "3", "--k", "5"), "tol"),
+            ({"pedantic": "yes"}, ("closed-form", "--r", "3"), "pedantic"),
+        ],
+        ids=["int-as-str", "prec-as-str", "int-as-float", "int-as-bool", "sin-k-as-str",
+             "list-as-array", "list-as-null", "format-choice", "tol-as-array", "pedantic-as-str"],
+    )
+    def test_bad_value_is_usage_error(self, capsys, tmp_path, config, argv, key):
+        cfg = tmp_path / "meansq.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 2
+        assert out == ""
+        assert "cannot read config" in err and repr(key) in err
+
+    def test_list_options_take_ints_and_strings(self, capsys, tmp_path):
+        cfg = tmp_path / "meansq.json"
+        cfg.write_text(json.dumps({"r": "3..4", "k": 5, "prec": 96, "tol": 1e-9}))
+        code, out, _ = run(capsys, "--config", str(cfg), "verify")
+        assert code == 0
+        assert [(c["r"], c["k"]) for c in json.loads(out)["cases"]] == [(3, 5), (4, 5)]
+        code, out, _ = run(capsys, "--config", str(cfg), "identity-check", "--which", "realjs", "--p", "1", "--q", "1")
+        assert code == 0
+        assert [c["k"] for c in json.loads(out)["cases"]] == [5]
+
+    def test_keys_of_other_subcommands_are_not_read(self, capsys, tmp_path):
+        cfg = tmp_path / "meansq.json"
+        cfg.write_text(json.dumps({"h": "1..2", "tol": "1e-9"}))
+        code, out, _ = run(capsys, "--config", str(cfg), "sin-sum", "--n", "2")
+        assert code == 0
+        assert out.strip() == "1/3 J_2"
+
+
+class TestCancellationFailure:
+    def test_sin_sum_exits_1(self, capsys, corrupted_induction):
+        code, out, err = run(capsys, "sin-sum", "--n", str(corrupted_induction))
+        assert code == 1
+        assert out == ""
+        assert "internal cancellation failure" in err

@@ -256,6 +256,16 @@ class TestMeanSquareNumeric:
             with mp.workprec(128):
                 assert abs(numeric - symbolic) / symbolic < mp.mpf(2) ** -120, (r, k)
 
+    @pytest.mark.parametrize(
+        "k,ranks", [(64, range(10, 16)), (210, range(10, 16)), (2310, (15,))], ids=["k64", "k210", "k2310"]
+    )
+    def test_closed_form_sweep_high_ranks(self, k, ranks):
+        for r in ranks:
+            numeric = mean_square_numeric(r, k, 160)
+            symbolic = closed_form_value(r, k, 160)
+            with mp.workprec(160):
+                assert abs(numeric - symbolic) / symbolic < mp.mpf(2) ** -120, (r, k)
+
 
 class TestExponentialSums:
     def test_factor_swap_symmetry(self):

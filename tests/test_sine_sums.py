@@ -7,6 +7,7 @@ from mpmath import mp
 
 from meansq.multiplicative import coprime_residues
 from meansq.sine_sums import (
+    UncancelledPowerError,
     _recursion_laurent,
     recip_power_real_sum,
     sin_sum_exact,
@@ -62,6 +63,13 @@ class TestExactExpansions:
         for n in range(2, 17, 2):
             laurent = _recursion_laurent(n)
             assert set(laurent) <= {0}, f"n={n}: stray exponents {sorted(set(laurent) - {0})}"
+
+    def test_uncancelled_power_is_caught(self, corrupted_induction):
+        n = corrupted_induction
+        assert sin_sum_exact(n - 2) == PUBLISHED[n - 2]
+        assert sorted(_recursion_laurent(n)) == [0, 2]
+        with pytest.raises(UncancelledPowerError, match=r"order 10: k-exponents \[2\]"):
+            sin_sum_exact(n)
 
     def test_returned_copies_are_safe(self):
         a = sin_sum_exact(4)
