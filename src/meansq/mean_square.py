@@ -13,8 +13,9 @@ Below the published values everything is a scalar table keyed by
 * ``_power_sum(p)`` and ``_exp_product(p, q)`` are integer tables (binomials
   times derivative coefficients; the product table is the convolution of two
   power-sum tables);
-* a sigma block adds Bernoulli-weighted, k-shifted copies of those tables
-  into one table of exact rationals;
+* a sigma block is a Bernoulli-weighted double sum of product tables, so it
+  is the convolution of two Bernoulli-weighted single sums of power-sum
+  tables: a table of exact rationals, built without any Jordan combination;
 * ``sine_sums._expand_laurent`` turns that table into a ``KLaurent``,
   expanding one Jordan combination per k-exponent.
 
@@ -65,16 +66,26 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Exponential-sum primitives: integer tables {(k-exponent, order of R): coeff}
+# Exponential-sum primitives: tables {(k-exponent, order of R): coeff}
 # ---------------------------------------------------------------------------
 
-ProductTable = dict[tuple[int, int], int]
+Table = dict[tuple[int, int], Fraction | int]
 
-_PRODUCT_MEMO: dict[tuple[int, int], ProductTable] = {}
-_POWER_SUM_MEMO: dict[int, ProductTable] = {}
+_PRODUCT_MEMO: dict[tuple[int, int], Table] = {}
+_POWER_SUM_MEMO: dict[int, Table] = {}
 
 
-def _power_sum(p: int) -> ProductTable:
+def _convolve(a: Table, b: Table, shift: int = 0) -> Table:
+    """The table of the product: exponents add (then shift), orders add."""
+    out: Table = {}
+    for (e1, n1), x in a.items():
+        for (e2, n2), y in b.items():
+            cell = (e1 + e2 + shift, n1 + n2)
+            out[cell] = out.get(cell, 0) + x * y
+    return out
+
+
+def _power_sum(p: int) -> Table:
     """Coprime-sum of sum_{j=1}^{k-1} j^p e^(2*pi*i*m*j/k) (real by pairing).
 
     Expanding through the derivative coefficients of 1/(e^w - 1) gives
@@ -94,7 +105,7 @@ def _power_sum(p: int) -> ProductTable:
     return table
 
 
-def _exp_product(p: int, q: int) -> ProductTable:
+def _exp_product(p: int, q: int) -> Table:
     """Coprime-sum of Re[(sum_j j^p e^(2*pi*i*m*j/k)) (sum_s s^q e^(2*pi*i*m*s/k))].
 
     Taking real parts of the product of the two expansions gives
@@ -102,24 +113,18 @@ def _exp_product(p: int, q: int) -> ProductTable:
         sum_{j,s} C(p,j) C(q,s) k^(j+s)
           sum_{alpha,beta} A(p-j, alpha) A(q-s, beta) * R(alpha+beta),
 
-    the convolution of the two power-sum tables over (k-exponent, order).
-    Symmetric in (p, q); memoized under the sorted key.
+    the integer convolution of the two power-sum tables.  Symmetric in
+    (p, q); memoized under the sorted key.
     """
     key = (p, q) if p <= q else (q, p)
     table = _PRODUCT_MEMO.get(key)
     if table is None:
-        table = {}
-        left, right = _power_sum(key[0]), _power_sum(key[1])
-        for (j, alpha), a in left.items():
-            for (s, beta), b in right.items():
-                cell = (j + s, alpha + beta)
-                table[cell] = table.get(cell, 0) + a * b
-        table = _PRODUCT_MEMO[key] = {cell: v for cell, v in table.items() if v}
+        table = _PRODUCT_MEMO[key] = _convolve(_power_sum(key[0]), _power_sum(key[1]))
     return table
 
 
 def exp_product_real(p: int, q: int) -> KLaurent:
-    """The paired product sum ``_exp_product(p, q)`` as an exact KLaurent."""
+    """The paired product sum of ``_exp_product`` as an exact KLaurent."""
     if p < 1 or q < 1:
         raise ValueError(f"exp_product_real: p, q must be >= 1, got ({p}, {q})")
     return _expand_laurent(_exp_product(p, q))
@@ -151,48 +156,57 @@ def _kl_copy(laurent: KLaurent) -> KLaurent:
     return {e: dict(combo) for e, combo in laurent.items()}
 
 
+def _bernoulli_sum(r: int, q_max: int, reflected: bool) -> Table:
+    """sum_{q <= q_max} B_q C(r, q) times k^q S(r-q), or its reflected form.
+
+    S(p) is the power sum.  The reflected form replaces k^q S(r-q) by
+
+        sum_{a=0}^{r-q-1} (-1)^(r-q-a) C(r-q, a) k^(q+a) S(r-q-a).
+    """
+    out: Table = {}
+    for q in range(q_max + 1):
+        b = bernoulli(q)
+        if not b:
+            continue
+        w = b * comb(r, q)
+        if reflected:
+            terms = [(r - q - a, (-1) ** (r - q - a) * comb(r - q, a), q + a) for a in range(r - q)]
+        else:
+            terms = [(r - q, 1, q)]
+        for p, sign, shift in terms:
+            for (j, n), v in _power_sum(p).items():
+                cell = (j + shift, n)
+                out[cell] = out.get(cell, 0) + sign * w * v
+    return out
+
+
 def _sigma(kind: str, r: int, q_max: int) -> KLaurent:
     """Sigma block of rank r, as a fresh copy of the memoized expansion.
 
-    With w = B_{q1} B_{q2} C(r, q1) C(r, q2) summed over q1, q2 in [0, q_max]:
+    With S(p) the power sum and U = sum_{q <= q_max} B_q C(r, q) k^q S(r-q),
+    where a product of two power sums means the paired product sum (table
+    convolution, as in ``_exp_product``):
 
-    * ``direct``    -- w k^(q1+q2-2r) P(r-q1, r-q2);
-    * ``reflected`` -- w sum_{a=0}^{r-q2-1} (-1)^(r-q2-a) C(r-q2, a)
-                       k^(a+q1+q2-2r) P(r-q1, r-q2-a);
-    * ``single``    -- -w k^(q1-r) S(r-q1);
+    * ``direct``    -- k^(-2r) U * U;
+    * ``reflected`` -- k^(-2r) U * V, V the reflected form of U (see
+                       ``_bernoulli_sum``), which carries the alternating
+                       a-layer;
+    * ``single``    -- -(sum_{q <= q_max} B_q C(r, q)) k^(-r) U.
 
-    with P the paired product sum and S the power sum.  The scalars are
-    collected per (k-exponent, order of R) and expanded once at the end.
+    The scalars are collected per (k-exponent, order of R) and expanded
+    once at the end.
     """
     key = (kind, r, q_max)
     block = _SIGMA_MEMO.get(key)
     if block is None:
-        acc: dict[tuple[int, int], Fraction] = {}
-
-        def add(table: ProductTable, weight: Fraction, shift: int) -> None:
-            for (e, n), v in table.items():
-                cell = (e + shift, n)
-                acc[cell] = acc.get(cell, 0) + weight * v
-
-        for q1 in range(q_max + 1):
-            b1 = bernoulli(q1)
-            if not b1:
-                continue
-            w1 = b1 * comb(r, q1)
-            for q2 in range(q_max + 1):
-                b2 = bernoulli(q2)
-                if not b2:
-                    continue
-                w = w1 * b2 * comb(r, q2)
-                if kind == "direct":
-                    add(_exp_product(r - q1, r - q2), w, q1 + q2 - 2 * r)
-                elif kind == "reflected":
-                    for a in range(r - q2):
-                        sign = (-1) ** (r - q2 - a)
-                        add(_exp_product(r - q1, r - q2 - a), sign * w * comb(r - q2, a), a + q1 + q2 - 2 * r)
-                else:
-                    add(_power_sum(r - q1), -w, q1 - r)
-        block = _SIGMA_MEMO[key] = _expand_laurent(acc)
+        first = _bernoulli_sum(r, q_max, reflected=False)
+        if kind == "single":
+            c = -sum(bernoulli(q) * comb(r, q) for q in range(q_max + 1))
+            table = {(e - r, n): c * v for (e, n), v in first.items()}
+        else:
+            second = first if kind == "direct" else _bernoulli_sum(r, q_max, reflected=True)
+            table = _convolve(first, second, shift=-2 * r)
+        block = _SIGMA_MEMO[key] = _expand_laurent(table)
     return _kl_copy(block)
 
 
