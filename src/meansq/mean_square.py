@@ -10,12 +10,13 @@ The builders collect scalars first and expand Jordan combinations last.
 Below the published values everything is a scalar table keyed by
 (k-exponent, order n of R):
 
-* ``_power_sum(p)`` and ``_exp_product(p, q)`` are integer tables (binomials
-  times derivative coefficients; the product table is the convolution of two
-  power-sum tables);
-* a sigma block is a Bernoulli-weighted double sum of product tables, so it
-  is the convolution of two Bernoulli-weighted single sums of power-sum
-  tables: a table of exact rationals, built without any Jordan combination;
+* ``_power_sum(p)`` is an integer table (binomials times derivative
+  coefficients), and the paired product sum of powers p and q is the
+  convolution of two such tables;
+* a sigma block is a Bernoulli-weighted double sum of paired product sums,
+  so it is the convolution of two Bernoulli-weighted single sums of
+  power-sum tables: a table of exact rationals, built without any Jordan
+  combination;
 * ``sine_sums._expand_laurent`` turns that table into a ``KLaurent``,
   expanding one Jordan combination per k-exponent.
 
@@ -71,8 +72,12 @@ __all__ = [
 
 Table = dict[tuple[int, int], Fraction | int]
 
-_PRODUCT_MEMO: dict[tuple[int, int], Table] = {}
 _POWER_SUM_MEMO: dict[int, Table] = {}
+_PRODUCT_MEMO: dict[tuple[int, int], KLaurent] = {}
+
+
+def _kl_copy(laurent: KLaurent) -> KLaurent:
+    return {e: dict(combo) for e, combo in laurent.items()}
 
 
 def _convolve(a: Table, b: Table, shift: int = 0) -> Table:
@@ -105,7 +110,7 @@ def _power_sum(p: int) -> Table:
     return table
 
 
-def _exp_product(p: int, q: int) -> Table:
+def _exp_product(p: int, q: int) -> KLaurent:
     """Coprime-sum of Re[(sum_j j^p e^(2*pi*i*m*j/k)) (sum_s s^q e^(2*pi*i*m*s/k))].
 
     Taking real parts of the product of the two expansions gives
@@ -113,21 +118,22 @@ def _exp_product(p: int, q: int) -> Table:
         sum_{j,s} C(p,j) C(q,s) k^(j+s)
           sum_{alpha,beta} A(p-j, alpha) A(q-s, beta) * R(alpha+beta),
 
-    the integer convolution of the two power-sum tables.  Symmetric in
-    (p, q); memoized under the sorted key.
+    the integer convolution of the two power-sum tables, expanded once.
+    Symmetric in (p, q); memoized under the sorted key.
     """
     key = (p, q) if p <= q else (q, p)
-    table = _PRODUCT_MEMO.get(key)
-    if table is None:
-        table = _PRODUCT_MEMO[key] = _convolve(_power_sum(key[0]), _power_sum(key[1]))
-    return table
+    laurent = _PRODUCT_MEMO.get(key)
+    if laurent is None:
+        table = _convolve(_power_sum(key[0]), _power_sum(key[1]))
+        laurent = _PRODUCT_MEMO[key] = _expand_laurent(table)
+    return laurent
 
 
 def exp_product_real(p: int, q: int) -> KLaurent:
-    """The paired product sum of ``_exp_product`` as an exact KLaurent."""
+    """Public copy-returning wrapper around the memoized product sum."""
     if p < 1 or q < 1:
         raise ValueError(f"exp_product_real: p, q must be >= 1, got ({p}, {q})")
-    return _expand_laurent(_exp_product(p, q))
+    return _kl_copy(_exp_product(p, q))
 
 
 def power_sum_real(p: int) -> KLaurent:
@@ -142,7 +148,7 @@ def realjs_rhs_exact(p: int, q: int, k: int) -> Fraction:
         raise ValueError(f"realjs_rhs_exact: p, q must be >= 1, got ({p}, {q})")
     if k < 3:
         raise ValueError(f"realjs_rhs_exact: k must be >= 3, got {k}")
-    return evaluate_laurent(_expand_laurent(_exp_product(p, q)), k)
+    return evaluate_laurent(_exp_product(p, q), k)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +156,6 @@ def realjs_rhs_exact(p: int, q: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _SIGMA_MEMO: dict[tuple[str, int, int], KLaurent] = {}
-
-
-def _kl_copy(laurent: KLaurent) -> KLaurent:
-    return {e: dict(combo) for e, combo in laurent.items()}
 
 
 def _bernoulli_sum(r: int, q_max: int, reflected: bool) -> Table:
