@@ -157,7 +157,10 @@ def _induction_weights(n: int) -> dict[int, Fraction]:
 
     The (q, j) term multiplies k^(q+j-1) by the bracket of p = n - q - j,
     so the bracket depends on e = q + j - 1 alone (p = n - 1 - e) and the
-    (q, j) scalars are summed per e before any bracket is formed.
+    (q, j) scalars are summed per e before any bracket is formed.  Every
+    weight with e >= 1 comes out exactly zero (the Bernoulli recurrence);
+    that is the k-power cancellation, and a nonzero one would leave its
+    k-power in the expanded Laurent for ``_compute_sin_sum`` to reject.
     """
     pref = (-1) ** (n // 2) * Fraction(2) ** n / factorial(n)
     weights: dict[int, Fraction] = {}
@@ -181,6 +184,7 @@ def _recursion_laurent(n: int) -> KLaurent:
     table = {
         (e, alpha): w * int(deriv_coeff(n - 1 - e, alpha))
         for e, w in _induction_weights(n).items()
+        if w
         for alpha in range(1, n - e + 1)
     }
     laurent = _expand_laurent(table, exclude=n)
