@@ -136,11 +136,11 @@ def _cmd_sin_sum(args) -> int:
     if n is None or n < 0 or n % 2:
         print("sin-sum: --n must be an even non-negative integer", file=sys.stderr)
         return USAGE_ERROR
-    combo = sin_sum_exact(n)
     k = args.k
     if k is not None and k < 3:
         print("sin-sum: --k must be >= 3", file=sys.stderr)
         return USAGE_ERROR
+    combo = sin_sum_exact(n)
     if args.format == "json":
         payload: dict = {"n": n, "combo": json.loads(render(combo, "json"))}
         if k is not None:

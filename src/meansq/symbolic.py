@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .multiplicative import euler_phi, jordan_totient
+from .multiplicative import _jordan_sum, factorize
 
 __all__ = [
     "JordanCombo",
@@ -92,19 +92,38 @@ def kl_shift(a: KLaurent, t: int) -> KLaurent:
     return {e + t: dict(combo) for e, combo in a.items()}
 
 
+def _laurent_ratio(laurent: KLaurent, k: int, primes: tuple[int, ...]) -> tuple[int, int]:
+    """sum_e k^e * combo_e(k) as an unreduced (numerator, denominator) pair.
+
+    Every coefficient goes over the lcm of the denominators and every k-power
+    over the lowest exponent, so the sum runs in integers; ``primes`` are the
+    primes of k.
+    """
+    if not laurent:
+        return 0, 1
+    den = math.lcm(*(c.denominator for combo in laurent.values() for c in combo.values()))
+    low = min(laurent)
+    num = 0
+    for e, combo in laurent.items():
+        terms = ((s, c.numerator * (den // c.denominator)) for s, c in combo.items())
+        num += k ** (e - low) * _jordan_sum(terms, k, primes)
+    if low < 0:
+        return num, den * k**-low
+    return num * k**low, den
+
+
 def evaluate_jordan(combo: JordanCombo, k: int) -> Fraction:
     """sum_s coeff * J_s(k), exact."""
     if k < 1:
         raise ValueError(f"evaluate_jordan: k must be >= 1, got {k}")
-    return sum((c * jordan_totient(s, k) for s, c in combo.items()), Fraction(0))
+    return Fraction(*_laurent_ratio({0: combo}, k, factorize(k).primes))
 
 
 def evaluate_laurent(laurent: KLaurent, k: int) -> Fraction:
     """sum_e k^e * combo_e(k), exact."""
-    return sum(
-        (Fraction(k) ** e * evaluate_jordan(combo, k) for e, combo in laurent.items()),
-        Fraction(0),
-    )
+    if k < 1:
+        raise ValueError(f"evaluate_laurent: k must be >= 1, got {k}")
+    return Fraction(*_laurent_ratio(laurent, k, factorize(k).primes))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +180,10 @@ def evaluate_closed_form(form: ClosedForm, k: int, precision_bits: int = 128):
         raise ValueError(f"evaluate_closed_form: k must be >= 3, got {k}")
     if precision_bits < 53:
         raise ValueError(f"evaluate_closed_form: precision_bits must be >= 53, got {precision_bits}")
-    exact = form.scalar * euler_phi(k) ** form.phi_exp * evaluate_laurent(form.body, k)
+    primes = factorize(k).primes
+    num, den = _laurent_ratio(form.body, k, primes)
+    phi = _jordan_sum(((1, 1),), k, primes)
+    exact = Fraction(form.scalar.numerator * phi**form.phi_exp * num, form.scalar.denominator * den)
     with mp.workprec(precision_bits + 16):
         value = mp.mpf(exact.numerator) / exact.denominator * mp.pi ** form.pi_exp
     with mp.workprec(precision_bits):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from meansq import cli
 from meansq.cli import main
 from meansq.symbolic import parse_closed_form
 
@@ -71,6 +72,16 @@ class TestSinSum:
     def test_odd_rejected(self, capsys):
         code, _, _ = run(capsys, "sin-sum", "--n", "3")
         assert code == 2
+
+    def test_bad_k_rejected_before_building(self, capsys, monkeypatch):
+        def no_build(n):
+            raise AssertionError(f"sin_sum_exact({n}) ran for a rejected --k")
+
+        monkeypatch.setattr(cli, "sin_sum_exact", no_build)
+        code, out, err = run(capsys, "sin-sum", "--n", "120", "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert "sin-sum: --k must be >= 3" in err
 
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "sin-sum", "--n", "2", "--k", "4", "--format", "json")

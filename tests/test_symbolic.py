@@ -60,6 +60,13 @@ class TestEvaluation:
     def test_laurent(self):
         assert evaluate_laurent({-2: {2: F(1)}}, 3) == F(8, 9)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_nonpositive_k_rejected(self, k):
+        with pytest.raises(ValueError, match=f"evaluate_laurent: k must be >= 1, got {k}"):
+            evaluate_laurent({-2: {1: F(1)}}, k)
+        with pytest.raises(ValueError, match=f"evaluate_jordan: k must be >= 1, got {k}"):
+            evaluate_jordan({1: F(1)}, k)
+
     def test_ring_homomorphism(self):
         rng = random.Random(7001)
         for _ in range(50):
