@@ -36,19 +36,23 @@ names r = 2h with q1, q2 <= 2h - 2 (even case); the kind picks the block:
 ``sigma1(h) = -sigma2(h)`` and ``sigma1_prime(h) = sigma2_prime(h)`` hold
 exactly; the test suite checks both since the final formulas rely on them.
 
-All builders are memoized and pure.  The sigma memo holds fully expanded
-values, so a hit does no arithmetic; every returned value is a fresh copy,
-so published table entries are never exposed to mutation.
+All builders are pure and memoized with ``functools.cache``.  The cached
+tables, sigma blocks and product sums are read-only mappings, shared inside
+the package; the public functions that return a ``KLaurent`` hand out a
+fresh plain-dict copy.  The final closed forms are cached per r, so a
+repeated ``mean_square_odd(r)`` returns the same immutable object.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .exact import bernoulli, deriv_coeff, factorial
 from .sine_sums import _expand_laurent
-from .symbolic import ClosedForm, KLaurent, evaluate_laurent, kl_shift
+from .symbolic import ClosedForm, KLaurent, _frozen, _thawed, evaluate_laurent, kl_shift
 
 __all__ = [
     "exp_product_real",
@@ -70,19 +74,12 @@ __all__ = [
 # Exponential-sum primitives: tables {(k-exponent, order of R): coeff}
 # ---------------------------------------------------------------------------
 
-Table = dict[tuple[int, int], Fraction | int]
-
-_POWER_SUM_MEMO: dict[int, Table] = {}
-_PRODUCT_MEMO: dict[tuple[int, int], KLaurent] = {}
+Table = Mapping[tuple[int, int], Fraction | int]
 
 
-def _kl_copy(laurent: KLaurent) -> KLaurent:
-    return {e: dict(combo) for e, combo in laurent.items()}
-
-
-def _convolve(a: Table, b: Table, shift: int = 0) -> Table:
+def _convolve(a: Table, b: Table, shift: int = 0) -> dict:
     """The table of the product: exponents add (then shift), orders add."""
-    out: Table = {}
+    out = {}
     for (e1, n1), x in a.items():
         for (e2, n2), y in b.items():
             cell = (e1 + e2 + shift, n1 + n2)
@@ -90,6 +87,7 @@ def _convolve(a: Table, b: Table, shift: int = 0) -> Table:
     return out
 
 
+@cache
 def _power_sum(p: int) -> Table:
     """Coprime-sum of sum_{j=1}^{k-1} j^p e^(2*pi*i*m*j/k) (real by pairing).
 
@@ -100,17 +98,15 @@ def _power_sum(p: int) -> Table:
     with R(n) the reciprocal-power sum from ``sine_sums``; the table maps
     (j, alpha) to the integer C(p,j) A(p-j, alpha).
     """
-    table = _POWER_SUM_MEMO.get(p)
-    if table is None:
-        table = _POWER_SUM_MEMO[p] = {
-            (j, alpha): comb(p, j) * int(deriv_coeff(p - j, alpha))
-            for j in range(1, p + 1)
-            for alpha in range(1, p - j + 2)
-        }
-    return table
+    return _frozen({
+        (j, alpha): comb(p, j) * int(deriv_coeff(p - j, alpha))
+        for j in range(1, p + 1)
+        for alpha in range(1, p - j + 2)
+    })
 
 
-def _exp_product(p: int, q: int) -> KLaurent:
+@cache
+def _exp_product(p: int, q: int) -> Mapping:
     """Coprime-sum of Re[(sum_j j^p e^(2*pi*i*m*j/k)) (sum_s s^q e^(2*pi*i*m*s/k))].
 
     Taking real parts of the product of the two expansions gives
@@ -119,21 +115,18 @@ def _exp_product(p: int, q: int) -> KLaurent:
           sum_{alpha,beta} A(p-j, alpha) A(q-s, beta) * R(alpha+beta),
 
     the integer convolution of the two power-sum tables, expanded once.
-    Symmetric in (p, q); memoized under the sorted key.
+    Symmetric in (p, q): the swapped pair shares the value of the sorted one.
     """
-    key = (p, q) if p <= q else (q, p)
-    laurent = _PRODUCT_MEMO.get(key)
-    if laurent is None:
-        table = _convolve(_power_sum(key[0]), _power_sum(key[1]))
-        laurent = _PRODUCT_MEMO[key] = _expand_laurent(table)
-    return laurent
+    if p > q:
+        return _exp_product(q, p)
+    return _frozen(_expand_laurent(_convolve(_power_sum(p), _power_sum(q))))
 
 
 def exp_product_real(p: int, q: int) -> KLaurent:
-    """Public copy-returning wrapper around the memoized product sum."""
+    """The memoized product sum, as a fresh KLaurent."""
     if p < 1 or q < 1:
         raise ValueError(f"exp_product_real: p, q must be >= 1, got ({p}, {q})")
-    return _kl_copy(_exp_product(p, q))
+    return _thawed(_exp_product(p, q))
 
 
 def power_sum_real(p: int) -> KLaurent:
@@ -155,17 +148,14 @@ def realjs_rhs_exact(p: int, q: int, k: int) -> Fraction:
 # Sigma blocks: one template for both parities and all three kinds
 # ---------------------------------------------------------------------------
 
-_SIGMA_MEMO: dict[tuple[str, int, int], KLaurent] = {}
-
-
-def _bernoulli_sum(r: int, q_max: int, reflected: bool) -> Table:
+def _bernoulli_sum(r: int, q_max: int, reflected: bool) -> dict:
     """sum_{q <= q_max} B_q C(r, q) times k^q S(r-q), or its reflected form.
 
     S(p) is the power sum.  The reflected form replaces k^q S(r-q) by
 
         sum_{a=0}^{r-q-1} (-1)^(r-q-a) C(r-q, a) k^(q+a) S(r-q-a).
     """
-    out: Table = {}
+    out = {}
     for q in range(q_max + 1):
         b = bernoulli(q)
         if not b:
@@ -182,8 +172,9 @@ def _bernoulli_sum(r: int, q_max: int, reflected: bool) -> Table:
     return out
 
 
-def _sigma(kind: str, r: int, q_max: int) -> KLaurent:
-    """Sigma block of rank r, as a fresh copy of the memoized expansion.
+@cache
+def _sigma(kind: str, r: int, q_max: int) -> Mapping:
+    """Sigma block of rank r, expanded and frozen.
 
     With S(p) the power sum and U = sum_{q <= q_max} B_q C(r, q) k^q S(r-q),
     where a product of two power sums means the paired product sum (table
@@ -198,18 +189,14 @@ def _sigma(kind: str, r: int, q_max: int) -> KLaurent:
     The scalars are collected per (k-exponent, order of R) and expanded
     once at the end.
     """
-    key = (kind, r, q_max)
-    block = _SIGMA_MEMO.get(key)
-    if block is None:
-        first = _bernoulli_sum(r, q_max, reflected=False)
-        if kind == "single":
-            c = -sum(bernoulli(q) * comb(r, q) for q in range(q_max + 1))
-            table = {(e - r, n): c * v for (e, n), v in first.items()}
-        else:
-            second = first if kind == "direct" else _bernoulli_sum(r, q_max, reflected=True)
-            table = _convolve(first, second, shift=-2 * r)
-        block = _SIGMA_MEMO[key] = _expand_laurent(table)
-    return _kl_copy(block)
+    first = _bernoulli_sum(r, q_max, reflected=False)
+    if kind == "single":
+        c = -sum(bernoulli(q) * comb(r, q) for q in range(q_max + 1))
+        table = {(e - r, n): c * v for (e, n), v in first.items()}
+    else:
+        second = first if kind == "direct" else _bernoulli_sum(r, q_max, reflected=True)
+        table = _convolve(first, second, shift=-2 * r)
+    return _frozen(_expand_laurent(table))
 
 
 def sigma2(h: int) -> KLaurent:
@@ -220,14 +207,14 @@ def sigma2(h: int) -> KLaurent:
     """
     if h < 1:
         raise ValueError(f"sigma2: h must be >= 1, got {h}")
-    return _sigma("direct", 2 * h + 1, 2 * h)
+    return _thawed(_sigma("direct", 2 * h + 1, 2 * h))
 
 
 def sigma1(h: int) -> KLaurent:
     """Reflected block of the odd case, with its alternating a-layer."""
     if h < 1:
         raise ValueError(f"sigma1: h must be >= 1, got {h}")
-    return _sigma("reflected", 2 * h + 1, 2 * h)
+    return _thawed(_sigma("reflected", 2 * h + 1, 2 * h))
 
 
 def sigma0(h: int) -> KLaurent:
@@ -238,28 +225,28 @@ def sigma0(h: int) -> KLaurent:
     """
     if h < 0:
         raise ValueError(f"sigma0: h must be >= 0, got {h}")
-    return _sigma("single", 2 * h + 1, 2 * h)
+    return _thawed(_sigma("single", 2 * h + 1, 2 * h))
 
 
 def sigma2_prime(h: int) -> KLaurent:
     """Direct product block of the even case (q1, q2 stop at 2h - 2)."""
     if h < 2:
         raise ValueError(f"sigma2_prime: h must be >= 2, got {h}")
-    return _sigma("direct", 2 * h, 2 * h - 2)
+    return _thawed(_sigma("direct", 2 * h, 2 * h - 2))
 
 
 def sigma1_prime(h: int) -> KLaurent:
     """Reflected block of the even case."""
     if h < 2:
         raise ValueError(f"sigma1_prime: h must be >= 2, got {h}")
-    return _sigma("reflected", 2 * h, 2 * h - 2)
+    return _thawed(_sigma("reflected", 2 * h, 2 * h - 2))
 
 
 def sigma0_prime(h: int) -> KLaurent:
     """Single-exponential block of the even case; empty for every h >= 2."""
     if h < 2:
         raise ValueError(f"sigma0_prime: h must be >= 2, got {h}")
-    return _sigma("single", 2 * h, 2 * h - 2)
+    return _thawed(_sigma("single", 2 * h, 2 * h - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -277,30 +264,11 @@ def mean_square_odd(r: int) -> ClosedForm | tuple[ClosedForm, ClosedForm]:
     picks up pi^2 phi(k)^2 / (4 k^2); a pair of forms is returned (main
     form, correction), to be summed.  The correction's phi^2 is carried as
     phi_exp = 1 times an explicit J_1 so that ClosedForm needs no phi^2
-    field.
+    field.  Every call with the same r returns the same immutable object.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"mean_square_odd: r must be odd and >= 1, got {r}")
-    h = (r - 1) // 2
-    scalar = -Fraction(2) ** (2 * r - 2) / (factorial(r) ** 2)
-    main_form = ClosedForm(
-        scalar=scalar,
-        pi_exp=2 * r,
-        phi_exp=1,
-        body=kl_shift(sigma2(h) if h >= 1 else _sigma("direct", 1, 0), -2),
-    )
-    if r > 1:
-        return main_form
-    # At r = 1 the single-exponential block contributes |C|^2 * phi(k)/2 *
-    # sigma0(0) = pi^2 phi(k)^2 / (4 k^2); the squared normalizing constant
-    # is pi^2/k^2 here, leaving a bare 1/2 for the phi(k)/2 factor.
-    correction = ClosedForm(
-        scalar=Fraction(1, 2),
-        pi_exp=2,
-        phi_exp=1,
-        body=kl_shift(sigma0(0), -2),
-    )
-    return main_form, correction
+    return _mean_square(r)
 
 
 def mean_square_even(r: int) -> ClosedForm:
@@ -313,13 +281,29 @@ def mean_square_even(r: int) -> ClosedForm:
         raise ValueError(
             f"mean_square_even: r must be even and >= 4 (r = 2h with h >= 2), got {r}"
         )
-    scalar = Fraction(2) ** (2 * r - 2) / (factorial(r) ** 2)
-    return ClosedForm(
-        scalar=scalar,
-        pi_exp=2 * r,
+    return _mean_square(r)
+
+
+@cache
+def _mean_square(r: int) -> ClosedForm | tuple[ClosedForm, ClosedForm]:
+    """Both parities: (-1)^r 4^(r-1) / (r!)^2 * pi^(2r) * phi(k) * k^(-2)
+    times the direct block of rank r, with q_max = r - 1 for odd r (sigma2)
+    and r - 2 for even r (sigma2_prime); r = 1 adds the correction."""
+    block = _sigma("direct", r, r - 1 if r % 2 else r - 2)
+    scalar = (-1) ** r * Fraction(2) ** (2 * r - 2) / (factorial(r) ** 2)
+    main_form = ClosedForm(scalar=scalar, pi_exp=2 * r, phi_exp=1, body=kl_shift(block, -2))
+    if r > 1:
+        return main_form
+    # At r = 1 the single-exponential block contributes |C|^2 * phi(k)/2 *
+    # sigma0(0) = pi^2 phi(k)^2 / (4 k^2); the squared normalizing constant
+    # is pi^2/k^2 here, leaving a bare 1/2 for the phi(k)/2 factor.
+    correction = ClosedForm(
+        scalar=Fraction(1, 2),
+        pi_exp=2,
         phi_exp=1,
-        body=kl_shift(sigma2_prime(r // 2), -2),
+        body=kl_shift(_sigma("single", 1, 0), -2),
     )
+    return main_form, correction
 
 
 def l_principal_closed_form(r: int) -> ClosedForm:

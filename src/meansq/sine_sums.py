@@ -13,10 +13,10 @@ The induction step is a Laurent polynomial in k whose coefficients are
 Jordan combinations.  It is built by collecting scalars first and expanding
 Jordan combinations last:
 
-* ``_recip_power_real(n, exclude)`` is a memoized table {sine order m:
-  scalar} for the coprime-sum R(n) of the real part of
-  (e^(2*pi*i*m/k) - 1)^(-n), reduced to sine power sums via the explicit
-  Chebyshev representations of cos/sin of multiple angles;
+* ``_recip_power_real(n)`` is a memoized table {sine order m: scalar} for
+  the coprime-sum R(n) of the real part of (e^(2*pi*i*m/k) - 1)^(-n),
+  reduced to sine power sums via the explicit Chebyshev representations of
+  cos/sin of multiple angles;
 * ``_induction_weights(n)`` sums the Bernoulli/binomial scalars of the step
   per k-exponent e, since the bracket they multiply depends on e alone;
 * ``_expand_laurent`` collects a {(k-exponent, order of R): scalar} table
@@ -30,18 +30,23 @@ on the expanded combinations, not assumed: if any nonzero power survives,
 error, since the published expansions carry no k).
 
 ``recip_power_real_sum(n)`` publishes R(n) as a Jordan combination.
+
+The sine sums and R(n) tables are cached read-only mappings, shared inside
+the package; ``sin_sum_exact`` returns a fresh dict.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from mpmath import mp
 
 from .exact import bernoulli, deriv_coeff, factorial
 from .multiplicative import coprime_residues
-from .symbolic import JordanCombo, KLaurent, jc_add
+from .symbolic import JordanCombo, KLaurent, _frozen, jc_add
 
 __all__ = [
     "UncancelledPowerError",
@@ -56,24 +61,27 @@ class UncancelledPowerError(RuntimeError):
 
 
 # {m: coeff} for sum_m coeff * SIN(m), with SIN(m) the order-m sine power sum.
-SineTable = dict[int, Fraction]
-
-_SIN_MEMO: dict[int, JordanCombo] = {0: {1: Fraction(1)}}
-_RECIP_MEMO: dict[tuple[int, int | None], SineTable] = {}
+SineTable = Mapping[int, Fraction]
 
 
-def _sin(n: int) -> JordanCombo:
-    """The memoized order-n sum itself (shared: callers must not mutate it)."""
-    combo = _SIN_MEMO.get(n)
-    if combo is None:
-        for m in range(2, n + 1, 2):
-            if m not in _SIN_MEMO:
-                _SIN_MEMO[m] = _compute_sin_sum(m)
-        combo = _SIN_MEMO[n]
-    return combo
+@cache
+def _sin(n: int) -> Mapping[int, Fraction]:
+    """The order-n sum, frozen; lower orders are built first, so recursion stays shallow."""
+    if n == 0:
+        return _frozen({1: Fraction(1)})
+    for m in range(2, n, 2):
+        _sin(m)
+    laurent = _recursion_laurent(n)
+    stray = sorted(e for e in laurent if e != 0)
+    if stray:
+        raise UncancelledPowerError(
+            f"sine power sum of order {n}: k-exponents {stray} survived collection"
+        )
+    return _frozen(laurent.get(0, {}))
 
 
-def _recip_power_real(n: int, exclude: int | None) -> SineTable:
+@cache
+def _recip_power_real(n: int) -> SineTable:
     """Coprime-sum of Re (e^(2*pi*i*m/k) - 1)^(-n) as a table of sine sums.
 
     Single merged formula for both parities of n: with half = floor(n/2) and
@@ -82,21 +90,11 @@ def _recip_power_real(n: int, exclude: int | None) -> SineTable:
         E * sum_c (-1)^(c + ceil(n/2)) (n-c-1)! / (2^(2c+1) c! (2*half-2c)!)
           * sum_d (-1)^d C(half-c, d) * SIN(2*half - 2d)
 
-    Terms whose literal exponent n - 2d equals ``exclude`` are skipped; this
-    is how the induction in sin_sum_exact removes the top-order sum it is
-    solving for.  (For odd n the literal n - 2d is odd and never matches an
-    even ``exclude``, so the skip is vacuous there.)  The table holds only
-    scalars, so it needs no sine sum to be built first.
+    The table holds only scalars, so it needs no sine sum to be built first.
     """
-    if exclude is not None and (exclude > n or (n - exclude) % 2):
-        exclude = None
-    key = (n, exclude)
-    cached = _RECIP_MEMO.get(key)
-    if cached is not None:
-        return cached
     half = n // 2
     scale = Fraction(n if n % 2 == 0 else 1) * (-1) ** ((n + 1) // 2)
-    table: SineTable = {}
+    table: dict[int, Fraction] = {}
     for c in range(half + 1):
         coeff_c = (
             scale
@@ -105,12 +103,9 @@ def _recip_power_real(n: int, exclude: int | None) -> SineTable:
             / (Fraction(2) ** (2 * c + 1) * factorial(c) * factorial(2 * half - 2 * c))
         )
         for d in range(half - c + 1):
-            if exclude is not None and n - 2 * d == exclude:
-                continue
             m = 2 * half - 2 * d
             table[m] = table.get(m, 0) + coeff_c * (-1) ** d * comb(half - c, d)
-    table = _RECIP_MEMO[key] = {m: v for m, v in table.items() if v}
-    return table
+    return _frozen({m: v for m, v in table.items() if v})
 
 
 def _expand(table: SineTable) -> JordanCombo:
@@ -124,19 +119,22 @@ def _expand(table: SineTable) -> JordanCombo:
     return {s: c for s, c in out.items() if c}
 
 
-def _expand_laurent(table: dict[tuple[int, int], Fraction | int], exclude: int | None = None) -> KLaurent:
-    """sum over (e, n) of table[e, n] * k^e * R(n), R(n) = ``_recip_power_real(n, exclude)``.
+def _expand_laurent(table: Mapping[tuple[int, int], Fraction | int], exclude: int | None = None) -> KLaurent:
+    """sum over (e, n) of table[e, n] * k^e * R(n), R(n) = ``_recip_power_real(n)``.
 
-    The scalars are first collected per (k-exponent, sine order); each
+    The sine sum of order ``exclude`` is left out of every R(n); this is how
+    the induction in sin_sum_exact removes the top-order sum it is solving
+    for.  The scalars are first collected per (k-exponent, sine order); each
     k-exponent's Jordan combination is then expanded once.
     """
-    by_exponent: dict[int, SineTable] = {}
+    by_exponent: dict[int, dict[int, Fraction]] = {}
     for (e, n), v in table.items():
         if not v:
             continue
         cell = by_exponent.setdefault(e, {})
-        for m, c in _recip_power_real(n, exclude).items():
-            cell[m] = cell.get(m, 0) + v * c
+        for m, c in _recip_power_real(n).items():
+            if m != exclude:
+                cell[m] = cell.get(m, 0) + v * c
     out: KLaurent = {}
     for e, cell in by_exponent.items():
         combo = _expand(cell)
@@ -149,7 +147,7 @@ def recip_power_real_sum(n: int) -> JordanCombo:
     """Coprime-sum of Re (e^(2*pi*i*m/k) - 1)^(-n) as a Jordan combination."""
     if n < 1:
         raise ValueError(f"recip_power_real_sum: n must be >= 1, got {n}")
-    return _expand(_recip_power_real(n, None))
+    return _expand(_recip_power_real(n))
 
 
 def _induction_weights(n: int) -> dict[int, Fraction]:
@@ -160,7 +158,7 @@ def _induction_weights(n: int) -> dict[int, Fraction]:
     (q, j) scalars are summed per e before any bracket is formed.  Every
     weight with e >= 1 comes out exactly zero (the Bernoulli recurrence);
     that is the k-power cancellation, and a nonzero one would leave its
-    k-power in the expanded Laurent for ``_compute_sin_sum`` to reject.
+    k-power in the expanded Laurent for ``_sin`` to reject.
     """
     pref = (-1) ** (n // 2) * Fraction(2) ** n / factorial(n)
     weights: dict[int, Fraction] = {}
@@ -197,28 +195,19 @@ def _recursion_laurent(n: int) -> KLaurent:
     return laurent
 
 
-def _compute_sin_sum(n: int) -> JordanCombo:
-    laurent = _recursion_laurent(n)
-    stray = sorted(e for e in laurent if e != 0)
-    if stray:
-        raise UncancelledPowerError(
-            f"sine power sum of order {n}: k-exponents {stray} survived collection"
-        )
-    return laurent.get(0, {})
-
-
 def sin_sum_exact(n: int) -> JordanCombo:
     """Jordan combination of the order-n reciprocal sine sum (n even >= 0).
 
     The order-0 sum counts coprime residues, i.e. phi(k) = J_1(k).  Higher
-    even orders are built bottom-up; the whole table up to n is memoized.
-    Odd n is rejected: every consumer here needs even orders only.
+    even orders are built bottom-up; the whole table up to n is memoized,
+    and each call returns a fresh dict.  Odd n is rejected: every consumer
+    here needs even orders only.
     """
     if n < 0:
         raise ValueError(f"sin_sum_exact: n must be >= 0, got {n}")
     if n % 2:
         raise ValueError(f"sin_sum_exact: n must be even, got {n}")
-    return dict(_sin(n))
+    return _sin(n).copy()
 
 
 def sin_sum_numeric(n: int, k: int, precision_bits: int = 128):

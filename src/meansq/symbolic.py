@@ -15,14 +15,19 @@ integers and the leading one (highest k-exponent, then highest Jordan index)
 is positive.  That makes structural equality agree with mathematical
 equality for the forms produced here, and makes renders reproduce the
 familiar presentation (e.g. a single 1/187110 prefactor).
+
+A ``ClosedForm`` is immutable and hashable (its body is ``_frozen``), so one
+form can be memoized and shared; the builders memoize ``_frozen`` tables.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from mpmath import mp
 
@@ -92,6 +97,16 @@ def kl_shift(a: KLaurent, t: int) -> KLaurent:
     return {e + t: dict(combo) for e, combo in a.items()}
 
 
+def _frozen(table: Mapping) -> Mapping:
+    """Read-only copy of a combo, Laurent or scalar table; nested maps are frozen too."""
+    return MappingProxyType({key: _frozen(v) if isinstance(v, Mapping) else v for key, v in table.items()})
+
+
+def _thawed(laurent: Mapping) -> KLaurent:
+    """Fresh plain-dict copy of a frozen KLaurent."""
+    return {e: combo.copy() for e, combo in laurent.items()}
+
+
 def _laurent_ratio(laurent: KLaurent, k: int, primes: tuple[int, ...]) -> tuple[int, int]:
     """sum_e k^e * combo_e(k) as an unreduced (numerator, denominator) pair.
 
@@ -134,25 +149,36 @@ def evaluate_laurent(laurent: KLaurent, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """scalar * pi^pi_exp * phi(k)^phi_exp * body(k), canonicalized."""
+    """scalar * pi^pi_exp * phi(k)^phi_exp * body(k), canonicalized and immutable.
+
+    ``body`` is stored as read-only mappings, equal to the plain dicts.
+    """
 
     scalar: Fraction
     pi_exp: int
     phi_exp: int
-    body: KLaurent = field(default_factory=dict)
+    body: Mapping[int, Mapping[int, Fraction]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.pi_exp < 0 or self.phi_exp < 0:
             raise ValueError("ClosedForm: pi_exp and phi_exp must be >= 0")
         body = {e: {s: Fraction(c) for s, c in combo.items() if c} for e, combo in self.body.items()}
         body = {e: combo for e, combo in body.items() if combo}
-        if not body:
-            object.__setattr__(self, "scalar", Fraction(0))
-            object.__setattr__(self, "body", {})
-            return
-        content = _content(body)
-        object.__setattr__(self, "scalar", Fraction(self.scalar) * content)
-        object.__setattr__(self, "body", {e: jc_scale(combo, 1 / content) for e, combo in body.items()})
+        scalar = Fraction(0)
+        if body:
+            content = _content(body)
+            scalar = Fraction(self.scalar) * content
+            body = {e: jc_scale(combo, 1 / content) for e, combo in body.items()}
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "body", _frozen(body))
+
+    def __hash__(self):
+        body = frozenset((e, frozenset(combo.items())) for e, combo in self.body.items())
+        return hash((self.scalar, self.pi_exp, self.phi_exp, body))
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled or deep-copied: rebuild from plain dicts.
+        return ClosedForm, (self.scalar, self.pi_exp, self.phi_exp, _thawed(self.body))
 
 
 def _content(body: KLaurent) -> Fraction:

@@ -11,11 +11,13 @@ CORRUPTED_ORDER = 10
 
 @pytest.fixture
 def corrupted_induction(monkeypatch):
-    """Corrupt one collected scalar of the order-10 sine induction; returns 10.
+    """Corrupt one collected scalar of the order-10 sine induction; yields 10.
 
     The k^2 weight of that induction step gets 1/7 added, and the sine-sum
-    memo starts empty, so the next build of order 10 meets a k-power that
-    cannot cancel.  Lower orders are left intact.
+    cache starts empty, so the next build of order 10 meets a k-power that
+    cannot cancel.  Lower orders are left intact.  The cache is cleared
+    again afterwards, so no order built under the corruption outlives the
+    test.
     """
     weights = sine_sums._induction_weights
 
@@ -26,5 +28,6 @@ def corrupted_induction(monkeypatch):
         return out
 
     monkeypatch.setattr(sine_sums, "_induction_weights", corrupted)
-    monkeypatch.setattr(sine_sums, "_SIN_MEMO", {0: {1: Fraction(1)}})
-    return CORRUPTED_ORDER
+    sine_sums._sin.cache_clear()
+    yield CORRUPTED_ORDER
+    sine_sums._sin.cache_clear()

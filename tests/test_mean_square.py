@@ -20,7 +20,7 @@ from meansq.mean_square import (
     sigma2_prime,
 )
 from meansq.oracle import exp_sum_direct
-from meansq.symbolic import ClosedForm, evaluate_closed_form, evaluate_laurent, kl_add
+from meansq.symbolic import ClosedForm, evaluate_closed_form, evaluate_laurent, kl_add, parse_closed_form, render
 
 F = Fraction
 
@@ -117,6 +117,23 @@ class TestFinalForms:
                 target = mp.pi**2 * expected_factor.numerator / expected_factor.denominator
                 assert abs(total - target) / target < mp.mpf(2) ** -110, k
 
+    def test_forms_are_memoized(self):
+        for r in (1, 5):
+            assert mean_square_odd(r) is mean_square_odd(r), r
+        assert mean_square_even(6) is mean_square_even(6)
+
+    def test_forms_are_immutable(self):
+        form = mean_square_odd(5)
+        again = parse_closed_form(render(form, "json"))
+        assert again == form and hash(again) == hash(form)
+        with pytest.raises(TypeError):
+            form.body[-2] = {}
+        with pytest.raises(TypeError):
+            form.body[-10][10] = F(1)
+        with pytest.raises(AttributeError):
+            form.body.clear()
+        assert mean_square_odd(5).body == {-10: {10: F(1), 4: F(-22), 2: F(-231)}}
+
     def test_parity_guards(self):
         with pytest.raises(ValueError):
             mean_square_odd(4)
@@ -187,6 +204,16 @@ class TestRealJs:
             )
             exact_mp = mp.mpf(exact.numerator) / exact.denominator
             assert abs(direct - exact_mp) < mp.mpf(2) ** -130
+
+    def test_returned_copies_are_safe(self):
+        product = exp_product_real(2, 3)
+        pristine = {e: dict(combo) for e, combo in product.items()}
+        value = realjs_rhs_exact(2, 3, 7)
+        for combo in product.values():
+            combo.clear()
+        product.clear()
+        assert exp_product_real(2, 3) == pristine and exp_product_real(3, 2) == pristine
+        assert realjs_rhs_exact(2, 3, 7) == value == evaluate_laurent(pristine, 7)
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from meansq.multiplicative import coprime_residues
@@ -98,6 +100,17 @@ class TestNumericAgreement:
             sin_sum_numeric(3, 5)
         with pytest.raises(ValueError):
             sin_sum_numeric(2, 2)
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10).map(lambda h: 2 * h), st.integers(3, 200))
+    def test_exact_matches_numeric(self, n, k):
+        exact = evaluate_jordan(sin_sum_exact(n), k)
+        numeric = sin_sum_numeric(n, k, 128)
+        with mp.workprec(160):
+            exact_mp = mp.mpf(exact.numerator) / exact.denominator
+            assert abs(numeric - exact_mp) / exact_mp < mp.mpf(2) ** -100, (n, k)
 
 
 class TestRecipPowerRealSum:

@@ -1,10 +1,14 @@
 """Tests for the Jordan-combination algebra and closed-form rendering."""
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from meansq.symbolic import (
@@ -124,6 +128,40 @@ class TestClosedForm:
             evaluate_closed_form(form, 5, 32)
 
 
+R5_FORM = ClosedForm(scalar=F(1, 187110), pi_exp=10, phi_exp=1, body={-10: {10: F(1), 4: F(-22), 2: F(-231)}})
+
+
+class TestImmutability:
+    def test_hash_agrees_with_equality(self):
+        # the same form written unreduced and in another key order
+        same = ClosedForm(scalar=F(-4, 225), pi_exp=10, phi_exp=1, body={-10: {2: F(5, 72), 4: F(5, 756), 10: F(-5, 16632)}})
+        assert same == R5_FORM and hash(same) == hash(R5_FORM)
+        zero = ClosedForm(scalar=F(1), pi_exp=10, phi_exp=1, body={})
+        assert len({R5_FORM, same, zero}) == 2
+
+    def test_body_cannot_be_changed(self):
+        with pytest.raises(TypeError):
+            R5_FORM.body[-2] = {}
+        with pytest.raises(TypeError):
+            R5_FORM.body[-10][10] = F(1)
+        with pytest.raises(AttributeError):
+            R5_FORM.body.clear()
+        assert R5_FORM.body == {-10: {10: F(1), 4: F(-22), 2: F(-231)}}
+
+    def test_pickle_and_deepcopy(self):
+        for again in (pickle.loads(pickle.dumps(R5_FORM)), copy.deepcopy(R5_FORM)):
+            assert again == R5_FORM and hash(again) == hash(R5_FORM)
+            with pytest.raises(TypeError):
+                again.body[-10][10] = F(1)
+
+    def test_input_body_is_not_shared(self):
+        body = {-2: {2: F(1)}}
+        form = ClosedForm(scalar=F(1, 6), pi_exp=2, phi_exp=0, body=body)
+        body[-2][2] = F(5)
+        body[0] = {1: F(1)}
+        assert form.body == {-2: {2: F(1)}}
+
+
 class TestRendering:
     def test_latex_single_term(self):
         assert render({2: F(1, 3)}, "latex") == r"\frac{1}{3} J_{2}(k)"
@@ -182,3 +220,35 @@ class TestJsonRoundTrip:
         form = ClosedForm(scalar=F(1, 6), pi_exp=2, phi_exp=0, body={-2: {2: F(1)}})
         data = json.loads(render(form, "json"))
         assert data == {"scalar": "1/6", "pi_exp": 2, "phi_exp": 0, "body": {"-2": {"2": "1/1"}}}
+
+
+# Canonical combos: no zero coefficients.
+coefficients = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+combos = st.dictionaries(st.integers(1, 30), coefficients.filter(bool), max_size=5)
+forms = st.builds(
+    ClosedForm,
+    scalar=coefficients,
+    pi_exp=st.integers(0, 30),
+    phi_exp=st.integers(0, 3),
+    body=st.dictionaries(st.integers(-40, 40), st.dictionaries(st.integers(1, 30), coefficients, max_size=4), max_size=3),
+)
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(forms)
+    def test_render_parse_identity(self, form):
+        again = parse_closed_form(render(form, "json"))
+        assert again == form and hash(again) == hash(form)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(combos, combos, combos)
+    def test_jc_add_associative_and_commutative(self, a, b, c):
+        assert jc_add(a, b) == jc_add(b, a)
+        assert jc_add(jc_add(a, b), c) == jc_add(a, jc_add(b, c))
+        assert all(jc_add(a, b).values())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(combos)
+    def test_jc_add_cancels_negation(self, a):
+        assert jc_add(a, jc_scale(a, -1)) == {}
