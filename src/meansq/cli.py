@@ -171,8 +171,11 @@ def _cmd_verify(args) -> int:
     if any(k < 3 for k in k_list):
         print("verify: every k must be >= 3", file=sys.stderr)
         return USAGE_ERROR
-    prec = args.prec
     tol = _parse_tol(args.tol)
+    prec = args.prec
+    if prec < 53:
+        print(f"verify: --prec must be >= 53, got {prec}", file=sys.stderr)
+        return USAGE_ERROR
     cases = []
     failed = 0
     for r in r_list:

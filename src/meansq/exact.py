@@ -3,13 +3,16 @@
 Everything downstream (sine power sums, mean-square closed forms) is a huge
 nested sum of products of factorials, binomials, Bernoulli numbers and the
 coefficients that express derivatives of 1/(e^w - 1) as powers of
-1/(e^w - 1).  All of it is computed in exact rational arithmetic: the scalar
-type is ``fractions.Fraction`` throughout, which already guarantees lowest
-terms and a positive denominator.
+1/(e^w - 1).  All of it is exact.  The public functions return
+``fractions.Fraction`` values; inside, the tables are plain ``int``s: the
+Bernoulli recurrence runs on integer numerators over one common denominator
+and the derivative coefficients are memoized as integers, so the builders
+downstream can stay in integers over one denominator too
+(``_bernoulli_ints``, ``_deriv_int``).
 
-The tables built here (factorials, Bernoulli numbers, derivative
-coefficients) are memoized and never mutated after an entry is published, so
-they can be shared freely between concurrent evaluations.
+The tables built here (Bernoulli numbers, derivative coefficients) are
+memoized and never mutated after an entry is published, so they can be
+shared freely between concurrent evaluations.
 """
 
 from __future__ import annotations
@@ -62,16 +65,22 @@ def bernoulli(n: int) -> Fraction:
         raise ValueError(f"bernoulli: n must be >= 0, got {n}")
     while len(_BERNOULLI) <= n:
         m = len(_BERNOULLI)
-        # sum_{q=0}^{m} C(m+1, q) B_q = 0  =>  B_m = -sum_{q<m}/C(m+1, m)
-        s = sum(
-            (binomial(m + 1, q) * _BERNOULLI[q] for q in range(m)),
-            Fraction(0),
-        )
-        _BERNOULLI.append(-s / binomial(m + 1, m))
+        # sum_{q=0}^{m} C(m+1, q) B_q = 0  =>  B_m = -sum_{q<m}/C(m+1, m),
+        # summed as integer numerators over the lcm of the earlier denominators
+        nums, den = _bernoulli_ints(m - 1)
+        s = sum(math.comb(m + 1, q) * b for q, b in enumerate(nums))
+        _BERNOULLI.append(Fraction(-s, den * (m + 1)))
     return _BERNOULLI[n]
 
 
-_DERIV_COEFF: dict[tuple[int, int], Fraction] = {}
+def _bernoulli_ints(n: int) -> tuple[list[int], int]:
+    """B_0..B_n as integer numerators over one denominator, the lcm of theirs."""
+    bs = [bernoulli(q) for q in range(n + 1)]
+    den = math.lcm(*[b.denominator for b in bs])
+    return [b.numerator * (den // b.denominator) for b in bs], den
+
+
+_DERIV_COEFF: dict[tuple[int, int], int] = {}
 
 
 def deriv_coeff(q: int, j: int) -> Fraction:
@@ -89,10 +98,15 @@ def deriv_coeff(q: int, j: int) -> Fraction:
         raise ValueError(f"deriv_coeff: q must be >= 0, got {q}")
     if j < 1 or j > q + 1:
         raise ValueError(f"deriv_coeff: j must be in [1, {q + 1}], got {j}")
+    return Fraction(_deriv_int(q, j))
+
+
+def _deriv_int(q: int, j: int) -> int:
+    """``deriv_coeff(q, j)`` as a memoized int, for in-range arguments."""
     key = (q, j)
     val = _DERIV_COEFF.get(key)
     if val is None:
-        val = Fraction(sum((-1) ** (r + q) * math.comb(j - 1, r) * (j - r) ** q for r in range(j)))
+        val = sum((-1) ** (r + q) * math.comb(j - 1, r) * (j - r) ** q for r in range(j))
         _DERIV_COEFF[key] = val
     return val
 

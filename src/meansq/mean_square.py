@@ -15,10 +15,12 @@ Below the published values everything is a scalar table keyed by
   convolution of two such tables;
 * a sigma block is a Bernoulli-weighted double sum of paired product sums,
   so it is the convolution of two Bernoulli-weighted single sums of
-  power-sum tables: a table of exact rationals, built without any Jordan
-  combination;
-* ``sine_sums._expand_laurent`` turns that table into a ``KLaurent``,
-  expanding one Jordan combination per k-exponent.
+  power-sum tables.  Each single sum is an integer table over one
+  denominator, the lcm of the Bernoulli denominators, so the convolution
+  multiplies only ``int``s and builds no Jordan combination;
+* ``sine_sums._expand_laurent`` turns that table and its denominator into a
+  ``KLaurent``, expanding one Jordan combination per k-exponent and forming
+  one ``Fraction`` per published coefficient.
 
 One template, ``_sigma(kind, r, q_max)``, builds all six blocks.  The
 unprimed names take r = 2h + 1 with q1, q2 <= 2h (odd case), the primed
@@ -50,7 +52,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .exact import bernoulli, deriv_coeff, factorial
+from .exact import _bernoulli_ints, _deriv_int, bernoulli, factorial
 from .sine_sums import _expand_laurent
 from .symbolic import ClosedForm, KLaurent, _frozen, _thawed, evaluate_laurent, kl_shift
 
@@ -74,7 +76,7 @@ __all__ = [
 # Exponential-sum primitives: tables {(k-exponent, order of R): coeff}
 # ---------------------------------------------------------------------------
 
-Table = Mapping[tuple[int, int], Fraction | int]
+Table = Mapping[tuple[int, int], int]
 
 
 def _convolve(a: Table, b: Table, shift: int = 0) -> dict:
@@ -99,7 +101,7 @@ def _power_sum(p: int) -> Table:
     (j, alpha) to the integer C(p,j) A(p-j, alpha).
     """
     return _frozen({
-        (j, alpha): comb(p, j) * int(deriv_coeff(p - j, alpha))
+        (j, alpha): comb(p, j) * _deriv_int(p - j, alpha)
         for j in range(1, p + 1)
         for alpha in range(1, p - j + 2)
     })
@@ -148,16 +150,19 @@ def realjs_rhs_exact(p: int, q: int, k: int) -> Fraction:
 # Sigma blocks: one template for both parities and all three kinds
 # ---------------------------------------------------------------------------
 
-def _bernoulli_sum(r: int, q_max: int, reflected: bool) -> dict:
+def _bernoulli_sum(r: int, q_max: int, reflected: bool) -> tuple[dict, int]:
     """sum_{q <= q_max} B_q C(r, q) times k^q S(r-q), or its reflected form.
 
     S(p) is the power sum.  The reflected form replaces k^q S(r-q) by
 
         sum_{a=0}^{r-q-1} (-1)^(r-q-a) C(r-q, a) k^(q+a) S(r-q-a).
+
+    The table holds integer numerators over lcm(B_0..B_{q_max} denominators),
+    which is returned with it.
     """
+    bnums, bden = _bernoulli_ints(q_max)
     out = {}
-    for q in range(q_max + 1):
-        b = bernoulli(q)
+    for q, b in enumerate(bnums):
         if not b:
             continue
         w = b * comb(r, q)
@@ -169,7 +174,7 @@ def _bernoulli_sum(r: int, q_max: int, reflected: bool) -> dict:
             for (j, n), v in _power_sum(p).items():
                 cell = (j + shift, n)
                 out[cell] = out.get(cell, 0) + sign * w * v
-    return out
+    return out, bden
 
 
 @cache
@@ -186,17 +191,18 @@ def _sigma(kind: str, r: int, q_max: int) -> Mapping:
                        a-layer;
     * ``single``    -- -(sum_{q <= q_max} B_q C(r, q)) k^(-r) U.
 
-    The scalars are collected per (k-exponent, order of R) and expanded
-    once at the end.
+    U and V are integer tables over one Bernoulli denominator, so the
+    convolution multiplies only ints; the scalars are collected per
+    (k-exponent, order of R) and expanded once at the end.
     """
-    first = _bernoulli_sum(r, q_max, reflected=False)
+    first, bden = _bernoulli_sum(r, q_max, reflected=False)
     if kind == "single":
-        c = -sum(bernoulli(q) * comb(r, q) for q in range(q_max + 1))
+        c = -sum(b * comb(r, q) for q, b in enumerate(_bernoulli_ints(q_max)[0]))
         table = {(e - r, n): c * v for (e, n), v in first.items()}
     else:
-        second = first if kind == "direct" else _bernoulli_sum(r, q_max, reflected=True)
+        second = first if kind == "direct" else _bernoulli_sum(r, q_max, reflected=True)[0]
         table = _convolve(first, second, shift=-2 * r)
-    return _frozen(_expand_laurent(table))
+    return _frozen(_expand_laurent(table, bden * bden))
 
 
 def sigma2(h: int) -> KLaurent:

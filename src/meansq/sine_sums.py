@@ -11,17 +11,22 @@ of smaller even order, Bernoulli numbers and binomial coefficients.
 
 The induction step is a Laurent polynomial in k whose coefficients are
 Jordan combinations.  It is built by collecting scalars first and expanding
-Jordan combinations last:
+Jordan combinations last, and every scalar table below the published values
+is a table of Python ``int``s over one common denominator, so the nested
+Bernoulli/binomial sums never normalize a fraction:
 
-* ``_recip_power_real(n)`` is a memoized table {sine order m: scalar} for
-  the coprime-sum R(n) of the real part of (e^(2*pi*i*m/k) - 1)^(-n),
-  reduced to sine power sums via the explicit Chebyshev representations of
-  cos/sin of multiple angles;
+* ``_recip_power_real(n)`` is a memoized integer table {sine order m:
+  numerator} over one denominator (a divisor of 2^(2*half+1) (2*half)!,
+  half = floor(n/2)) for the coprime-sum R(n) of the real part of
+  (e^(2*pi*i*m/k) - 1)^(-n), reduced to sine power sums via the explicit
+  Chebyshev representations of cos/sin of multiple angles;
 * ``_induction_weights(n)`` sums the Bernoulli/binomial scalars of the step
-  per k-exponent e, since the bracket they multiply depends on e alone;
-* ``_expand_laurent`` collects a {(k-exponent, order of R): scalar} table
-  into one {sine order: scalar} table per k-exponent and expands each into
-  a Jordan combination once.  The mean-square builders use it too.
+  per k-exponent e, since the bracket they multiply depends on e alone; the
+  weights are integers over lcm(B_q denominators) * n!;
+* ``_expand_laurent`` collects a {(k-exponent, order of R): numerator}
+  table into one integer {sine order: numerator} table per k-exponent,
+  reads the sine sums' numerators over their lcm, and divides once per
+  (k-exponent, Jordan index).  The mean-square builders use it too.
 
 The final answer is k-free, so after collecting terms every nonzero k-power
 must have an identically zero coefficient.  That cancellation is *checked*
@@ -40,13 +45,13 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, factorial, gcd, lcm
 
 from mpmath import mp
 
-from .exact import bernoulli, deriv_coeff, factorial
+from .exact import _bernoulli_ints, _deriv_int, bernoulli
 from .multiplicative import coprime_residues
-from .symbolic import JordanCombo, KLaurent, _frozen, jc_add
+from .symbolic import JordanCombo, KLaurent, _frozen
 
 __all__ = [
     "UncancelledPowerError",
@@ -58,10 +63,6 @@ __all__ = [
 
 class UncancelledPowerError(RuntimeError):
     """A k-power survived a collection that must be k-free."""
-
-
-# {m: coeff} for sum_m coeff * SIN(m), with SIN(m) the order-m sine power sum.
-SineTable = Mapping[int, Fraction]
 
 
 @cache
@@ -81,8 +82,11 @@ def _sin(n: int) -> Mapping[int, Fraction]:
 
 
 @cache
-def _recip_power_real(n: int) -> SineTable:
-    """Coprime-sum of Re (e^(2*pi*i*m/k) - 1)^(-n) as a table of sine sums.
+def _recip_power_real(n: int) -> tuple[Mapping[int, int], int]:
+    """Coprime-sum of Re (e^(2*pi*i*m/k) - 1)^(-n) as (sine table, denominator).
+
+    The table maps m to the numerator of the coefficient of SIN(m), the
+    order-m sine power sum.
 
     Single merged formula for both parities of n: with half = floor(n/2) and
     E = n for even n, 1 for odd n,
@@ -90,54 +94,65 @@ def _recip_power_real(n: int) -> SineTable:
         E * sum_c (-1)^(c + ceil(n/2)) (n-c-1)! / (2^(2c+1) c! (2*half-2c)!)
           * sum_d (-1)^d C(half-c, d) * SIN(2*half - 2d)
 
-    The table holds only scalars, so it needs no sine sum to be built first.
+    Over D = 2^(2*half+1) (2*half)! every c-scalar is an integer, so the
+    table holds integer numerators over D, reduced by their common gcd.  It
+    holds only scalars, so it needs no sine sum to be built first.
     """
     half = n // 2
-    scale = Fraction(n if n % 2 == 0 else 1) * (-1) ** ((n + 1) // 2)
-    table: dict[int, Fraction] = {}
+    scale = (n if n % 2 == 0 else 1) * (-1) ** ((n + 1) // 2)
+    fact_2h = factorial(2 * half)
+    table: dict[int, int] = {}
     for c in range(half + 1):
         coeff_c = (
-            scale
-            * (-1) ** c
-            * factorial(n - c - 1)
-            / (Fraction(2) ** (2 * c + 1) * factorial(c) * factorial(2 * half - 2 * c))
+            scale * (-1) ** c * factorial(n - c - 1) * 2 ** (2 * half - 2 * c)
+            * (fact_2h // (factorial(c) * factorial(2 * half - 2 * c)))
         )
         for d in range(half - c + 1):
             m = 2 * half - 2 * d
             table[m] = table.get(m, 0) + coeff_c * (-1) ** d * comb(half - c, d)
-    return _frozen({m: v for m, v in table.items() if v})
+    den = 2 ** (2 * half + 1) * fact_2h
+    g = gcd(den, *table.values())
+    return _frozen({m: v // g for m, v in table.items() if v}), den // g
 
 
-def _expand(table: SineTable) -> JordanCombo:
-    """sum_m table[m] * SIN(m) as a fresh Jordan combination."""
-    out: JordanCombo = {}
-    for m, coeff in table.items():
-        if not coeff:
-            continue
-        for s, c in _sin(m).items():
-            out[s] = out.get(s, 0) + coeff * c
-    return {s: c for s, c in out.items() if c}
+def _expand_laurent(table: Mapping[tuple[int, int], int], den: int = 1,
+                    exclude: int | None = None, top: int = 0) -> KLaurent:
+    """sum over (e, n) of table[e, n]/den * k^e * R(n), R(n) = ``_recip_power_real(n)``.
 
-
-def _expand_laurent(table: Mapping[tuple[int, int], Fraction | int], exclude: int | None = None) -> KLaurent:
-    """sum over (e, n) of table[e, n] * k^e * R(n), R(n) = ``_recip_power_real(n)``.
-
-    The sine sum of order ``exclude`` is left out of every R(n); this is how
-    the induction in sin_sum_exact removes the top-order sum it is solving
-    for.  The scalars are first collected per (k-exponent, sine order); each
-    k-exponent's Jordan combination is then expanded once.
+    The sine sum of order ``exclude`` is left out of every R(n), and
+    top/den * J_exclude is added at k^0; this is how the induction in
+    sin_sum_exact removes the top-order sum it is solving for.  The integer
+    numerators are first collected per (k-exponent, sine order) over the lcm
+    of the R(n) denominators; each sine sum is then read as numerators over
+    the lcm of its coefficients' denominators, and each (k-exponent, Jordan
+    index) is divided by the one common denominator once.
     """
-    by_exponent: dict[int, dict[int, Fraction]] = {}
+    recip = {n: _recip_power_real(n) for _, n in table}
+    rden = lcm(*[d for _, d in recip.values()])
+    by_exponent: dict[int, dict[int, int]] = {0: {}} if top else {}
     for (e, n), v in table.items():
         if not v:
             continue
+        sines, d = recip[n]
+        v *= rden // d
         cell = by_exponent.setdefault(e, {})
-        for m, c in _recip_power_real(n).items():
+        for m, c in sines.items():
             if m != exclude:
                 cell[m] = cell.get(m, 0) + v * c
+    orders = {m for cell in by_exponent.values() for m, x in cell.items() if x}
+    sden = lcm(*[c.denominator for m in orders for c in _sin(m).values()])
+    sin_ints = {m: [(s, c.numerator * (sden // c.denominator)) for s, c in _sin(m).items()] for m in orders}
+    total = den * rden * sden
     out: KLaurent = {}
     for e, cell in by_exponent.items():
-        combo = _expand(cell)
+        acc: dict[int, int] = {}
+        for m, x in cell.items():
+            if x:
+                for s, c in sin_ints[m]:
+                    acc[s] = acc.get(s, 0) + x * c
+        if e == 0 and top:
+            acc[exclude] = acc.get(exclude, 0) + top * rden * sden
+        combo = {s: Fraction(v, total) for s, v in acc.items() if v}
         if combo:
             out[e] = combo
     return out
@@ -147,30 +162,32 @@ def recip_power_real_sum(n: int) -> JordanCombo:
     """Coprime-sum of Re (e^(2*pi*i*m/k) - 1)^(-n) as a Jordan combination."""
     if n < 1:
         raise ValueError(f"recip_power_real_sum: n must be >= 1, got {n}")
-    return _expand(_recip_power_real(n))
+    return _expand_laurent({(0, n): 1}).get(0, {})
 
 
-def _induction_weights(n: int) -> dict[int, Fraction]:
-    """Scalar weight of k^e in the order-n induction step, per exponent e.
+def _induction_weights(n: int) -> tuple[dict[int, int], int]:
+    """Weight of k^e in the order-n induction step, per exponent e, over one denominator.
 
     The (q, j) term multiplies k^(q+j-1) by the bracket of p = n - q - j,
     so the bracket depends on e = q + j - 1 alone (p = n - 1 - e) and the
-    (q, j) scalars are summed per e before any bracket is formed.  Every
-    weight with e >= 1 comes out exactly zero (the Bernoulli recurrence);
-    that is the k-power cancellation, and a nonzero one would leave its
-    k-power in the expanded Laurent for ``_sin`` to reject.
+    (q, j) scalars are summed per e before any bracket is formed.  They are
+    integer numerators over lcm(B_0..B_n denominators) * n!, which is
+    returned with them.  Every weight with e >= 1 comes out exactly zero
+    (the Bernoulli recurrence); that is the k-power cancellation, and a
+    nonzero one would leave its k-power in the expanded Laurent for ``_sin``
+    to reject.
     """
-    pref = (-1) ** (n // 2) * Fraction(2) ** n / factorial(n)
-    weights: dict[int, Fraction] = {}
+    bnums, bden = _bernoulli_ints(n)
+    pref = (-1) ** (n // 2) * 2**n
+    weights: dict[int, int] = {}
     for q in range(n + 1):
-        bq = bernoulli(q)
-        if not bq:
+        if not bnums[q]:
             continue
-        wq = pref * comb(n, q) * bq
+        wq = pref * comb(n, q) * bnums[q]
         for j in range(1, n - q + 1):
             e = q + j - 1
             weights[e] = weights.get(e, 0) + wq * comb(n - q, j)
-    return weights
+    return weights, bden * factorial(n)
 
 
 def _recursion_laurent(n: int) -> KLaurent:
@@ -179,20 +196,17 @@ def _recursion_laurent(n: int) -> KLaurent:
     Exposed (privately) so tests can check that every nonzero k-exponent
     carries an identically zero coefficient.
     """
+    weights, den = _induction_weights(n)
     table = {
-        (e, alpha): w * int(deriv_coeff(n - 1 - e, alpha))
-        for e, w in _induction_weights(n).items()
+        (e, alpha): w * _deriv_int(n - 1 - e, alpha)
+        for e, w in weights.items()
         if w
         for alpha in range(1, n - e + 1)
     }
-    laurent = _expand_laurent(table, exclude=n)
-    lead = (-1) ** (n // 2 + 1) * Fraction(2) ** n * bernoulli(n) / factorial(n)
-    top = jc_add(laurent.get(0, {}), {n: lead})
-    if top:
-        laurent[0] = top
-    else:
-        laurent.pop(0, None)
-    return laurent
+    # the J_n term (-1)^(n/2+1) 2^n B_n / n!, over the weights' denominator
+    b = bernoulli(n)
+    top = (-1) ** (n // 2 + 1) * 2**n * b.numerator * (den // factorial(n) // b.denominator)
+    return _expand_laurent(table, den, exclude=n, top=top)
 
 
 def sin_sum_exact(n: int) -> JordanCombo:

@@ -1,7 +1,5 @@
 """Shared fixtures."""
 
-from fractions import Fraction
-
 import pytest
 
 from meansq import sine_sums
@@ -17,15 +15,18 @@ def corrupted_induction(monkeypatch):
     cache starts empty, so the next build of order 10 meets a k-power that
     cannot cancel.  Lower orders are left intact.  The cache is cleared
     again afterwards, so no order built under the corruption outlives the
-    test.
+    test.  The weights are integer numerators over one denominator, so 1/7
+    is added as den/7 (den carries 10!, so 7 divides it).
     """
     weights = sine_sums._induction_weights
 
     def corrupted(n):
-        out = dict(weights(n))
+        nums, den = weights(n)
+        out = dict(nums)
         if n == CORRUPTED_ORDER:
-            out[2] = out.get(2, 0) + Fraction(1, 7)
-        return out
+            assert den % 7 == 0
+            out[2] = out.get(2, 0) + den // 7
+        return out, den
 
     monkeypatch.setattr(sine_sums, "_induction_weights", corrupted)
     sine_sums._sin.cache_clear()

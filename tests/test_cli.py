@@ -116,6 +116,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--r", "3")
         assert code == 2
 
+    def test_bad_prec_rejected_before_building(self, capsys, monkeypatch):
+        def no_build(r):
+            raise AssertionError(f"closed form of rank {r} built for a rejected --prec")
+
+        monkeypatch.setattr(cli, "_mean_square_forms", no_build)
+        code, out, err = run(capsys, "verify", "--r", "31", "--k", "5", "--prec", "0")
+        assert code == 2
+        assert out == ""
+        assert "verify: --prec must be >= 53" in err
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tolerance_is_usage_error(self, capsys, tol):
         code, out, err = run(capsys, "verify", "--r", "3", "--k", "5", "--tol", tol)

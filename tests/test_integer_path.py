@@ -1,0 +1,107 @@
+"""The integer scalar tables against their plain-``Fraction`` definitions.
+
+The builders keep every scalar table below the published values as integer
+numerators over one denominator.  The reference functions here are the
+same sums written directly in ``Fraction``s, one normalizing operation per
+step; each integer table, divided by its denominator, must equal them
+exactly.
+"""
+
+import math
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from meansq.exact import _bernoulli_ints, bernoulli, factorial
+from meansq.mean_square import _bernoulli_sum, _power_sum
+from meansq.sine_sums import _induction_weights, _recip_power_real
+
+
+def reference_recip_power_real(n):
+    half = n // 2
+    scale = Fraction(n if n % 2 == 0 else 1) * (-1) ** ((n + 1) // 2)
+    table = {}
+    for c in range(half + 1):
+        coeff_c = (
+            scale
+            * (-1) ** c
+            * factorial(n - c - 1)
+            / (Fraction(2) ** (2 * c + 1) * factorial(c) * factorial(2 * half - 2 * c))
+        )
+        for d in range(half - c + 1):
+            m = 2 * half - 2 * d
+            table[m] = table.get(m, 0) + coeff_c * (-1) ** d * comb(half - c, d)
+    return {m: v for m, v in table.items() if v}
+
+
+def reference_induction_weights(n):
+    pref = (-1) ** (n // 2) * Fraction(2) ** n / factorial(n)
+    weights = {}
+    for q in range(n + 1):
+        bq = bernoulli(q)
+        if not bq:
+            continue
+        wq = pref * comb(n, q) * bq
+        for j in range(1, n - q + 1):
+            e = q + j - 1
+            weights[e] = weights.get(e, 0) + wq * comb(n - q, j)
+    return weights
+
+
+def reference_bernoulli_sum(r, q_max, reflected):
+    out = {}
+    for q in range(q_max + 1):
+        b = bernoulli(q)
+        if not b:
+            continue
+        w = b * comb(r, q)
+        if reflected:
+            terms = [(r - q - a, (-1) ** (r - q - a) * comb(r - q, a), q + a) for a in range(r - q)]
+        else:
+            terms = [(r - q, 1, q)]
+        for p, sign, shift in terms:
+            for (j, n), v in _power_sum(p).items():
+                cell = (j + shift, n)
+                out[cell] = out.get(cell, 0) + sign * w * v
+    return out
+
+
+def over(table, den):
+    """An integer table divided by its denominator, zero entries dropped."""
+    return {key: Fraction(v, den) for key, v in table.items() if v}
+
+
+def nonzero(table):
+    return {key: v for key, v in table.items() if v}
+
+
+def test_bernoulli_numerators_share_one_denominator():
+    nums, den = _bernoulli_ints(60)
+    assert [Fraction(b, den) for b in nums] == [bernoulli(q) for q in range(61)]
+    # von Staudt-Clausen: the lcm is the product of the primes p with p - 1 <= 60
+    assert den == math.prod(p for p in range(2, 62) if all(p % d for d in range(2, p)))
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_recip_power_real_table(n):
+    table, den = _recip_power_real(n)
+    assert all(type(v) is int for v in table.values())
+    assert over(table, den) == reference_recip_power_real(n)
+
+
+@pytest.mark.parametrize("n", range(2, 61, 2))
+def test_induction_weights(n):
+    weights, den = _induction_weights(n)
+    assert all(type(v) is int for v in weights.values())
+    assert over(weights, den) == nonzero(reference_induction_weights(n))
+
+
+@pytest.mark.parametrize("r", [*range(1, 22, 2), *range(4, 21, 2)])
+def test_bernoulli_sum(r):
+    # q_max as the mean squares use it: r - 1 for odd r, r - 2 for even r
+    q_max = r - 1 if r % 2 else r - 2
+    for reflected in (False, True):
+        table, den = _bernoulli_sum(r, q_max, reflected)
+        assert all(type(v) is int for v in table.values())
+        assert over(table, den) == nonzero(reference_bernoulli_sum(r, q_max, reflected)), reflected

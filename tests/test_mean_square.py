@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from meansq.mean_square import (
@@ -335,3 +337,18 @@ class TestLiteralTranscription:
     def test_sigma1_matches_literal(self):
         for h in (1, 2):
             assert sigma1(h) == literal_sigma1(h), f"h={h}"
+
+
+class TestProperties:
+    """The block identities the final formulas rely on, beyond the h <= 4 of
+    ``identity-check --which sigma-cancel``."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(1, 8))
+    def test_odd_blocks_cancel(self, h):
+        assert kl_add(sigma1(h), sigma2(h)) == {}, h
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(2, 8))
+    def test_even_blocks_agree(self, h):
+        assert sigma1_prime(h) == sigma2_prime(h), h

@@ -266,6 +266,15 @@ class TestMeanSquareNumeric:
             with mp.workprec(160):
                 assert abs(numeric - symbolic) / symbolic < mp.mpf(2) ** -120, (r, k)
 
+    @pytest.mark.parametrize("r", [20, 21])
+    def test_closed_form_beyond_golden_ranks(self, r):
+        # the golden file stops at r = 15
+        for k in (7, 30):
+            numeric = mean_square_numeric(r, k, 160)
+            symbolic = closed_form_value(r, k, 160)
+            with mp.workprec(160):
+                assert abs(numeric - symbolic) / symbolic < mp.mpf(2) ** -120, (r, k)
+
 
 class TestExponentialSums:
     def test_factor_swap_symmetry(self):

@@ -95,6 +95,16 @@ class TestNumericAgreement:
                     exact_mp = mp.mpf(exact.numerator) / exact.denominator
                     assert abs(numeric - exact_mp) / exact_mp < mp.mpf(1e-30), (n, k)
 
+    @pytest.mark.parametrize("n", [50, 60, 80])
+    def test_beyond_golden_orders(self, n):
+        # the golden file stops at n = 40
+        for k in (7, 30, 64):
+            exact = evaluate_jordan(sin_sum_exact(n), k)
+            numeric = sin_sum_numeric(n, k, 128)
+            with mp.workprec(160):
+                exact_mp = mp.mpf(exact.numerator) / exact.denominator
+                assert abs(numeric - exact_mp) / exact_mp < mp.mpf(2) ** -100, (n, k)
+
     def test_guards(self):
         with pytest.raises(ValueError):
             sin_sum_numeric(3, 5)
