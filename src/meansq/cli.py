@@ -83,7 +83,10 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _parse_tol(text):
     """Relative tolerance: finite and non-negative, else ValueError."""
-    tol = mp.mpf(text)
+    try:
+        tol = mp.mpf(text)
+    except (TypeError, ValueError):
+        tol = mp.nan
     if not mp.isfinite(tol) or tol < 0:
         raise ValueError(f"--tol must be a finite non-negative number, got {text!r}")
     return tol
@@ -171,7 +174,11 @@ def _cmd_verify(args) -> int:
     if any(k < 3 for k in k_list):
         print("verify: every k must be >= 3", file=sys.stderr)
         return USAGE_ERROR
-    tol = _parse_tol(args.tol)
+    try:
+        tol = _parse_tol(args.tol)
+    except ValueError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     prec = args.prec
     if prec < 53:
         print(f"verify: --prec must be >= 53, got {prec}", file=sys.stderr)

@@ -80,7 +80,8 @@ def _bernoulli_ints(n: int) -> tuple[list[int], int]:
     return [b.numerator * (den // b.denominator) for b in bs], den
 
 
-_DERIV_COEFF: dict[tuple[int, int], int] = {}
+# Row q holds deriv_coeff(q, j) for j = 1..q+1 as ints; rows are appended, never changed.
+_DERIV_ROWS: list[tuple[int, ...]] = [(1,)]
 
 
 def deriv_coeff(q: int, j: int) -> Fraction:
@@ -102,13 +103,17 @@ def deriv_coeff(q: int, j: int) -> Fraction:
 
 
 def _deriv_int(q: int, j: int) -> int:
-    """``deriv_coeff(q, j)`` as a memoized int, for in-range arguments."""
-    key = (q, j)
-    val = _DERIV_COEFF.get(key)
-    if val is None:
-        val = sum((-1) ** (r + q) * math.comb(j - 1, r) * (j - r) ** q for r in range(j))
-        _DERIV_COEFF[key] = val
-    return val
+    """``deriv_coeff(q, j)`` as an int, for in-range arguments.
+
+    Rows are filled upward by the derivative of (e^w - 1)^(-j), which is
+    -j (e^w - 1)^(-j) - j (e^w - 1)^(-j-1): A(q+1, j) = -j A(q, j) -
+    (j-1) A(q, j-1), with A = 0 outside 1 <= j <= q+1, so each entry
+    costs O(1) instead of a j-term sum of q-th powers.
+    """
+    while len(_DERIV_ROWS) <= q:
+        row = (0, *_DERIV_ROWS[-1], 0)  # A(q, 0) .. A(q, q+2)
+        _DERIV_ROWS.append(tuple(-j * row[j] - (j - 1) * row[j - 1] for j in range(1, len(row))))
+    return _DERIV_ROWS[q][j - 1]
 
 
 @dataclass(frozen=True)

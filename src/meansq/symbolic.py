@@ -18,20 +18,30 @@ familiar presentation (e.g. a single 1/187110 prefactor).
 
 A ``ClosedForm`` is immutable and hashable (its body is ``_frozen``), so one
 form can be memoized and shared; the builders memoize ``_frozen`` tables.
+
+Each form carries its evaluation plan, built once from the canonical body:
+the lowest k-exponent, the (Jordan index, integer coefficient) pairs of each
+exponent and the distinct Jordan indices.  Evaluating at k reads only the
+plan: one factorization of k, one table of the J_s(k) and integer sums, with
+one reduction at the end.  ``evaluate_jordan`` and ``evaluate_laurent`` build
+the same plan from their argument on each call and share the evaluator.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
+from typing import NamedTuple
 
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pos, round_nearest
 
-from .multiplicative import _jordan_sum, factorize
+from .multiplicative import _jordan_table, factorize
 
 __all__ = [
     "JordanCombo",
@@ -107,23 +117,60 @@ def _thawed(laurent: Mapping) -> KLaurent:
     return {e: combo.copy() for e, combo in laurent.items()}
 
 
-def _laurent_ratio(laurent: KLaurent, k: int, primes: tuple[int, ...]) -> tuple[int, int]:
-    """sum_e k^e * combo_e(k) as an unreduced (numerator, denominator) pair.
+class _Plan(NamedTuple):
+    """scalar * phi(k)^phi_exp * sum_e k^e * sum_s c * J_s(k) as integers.
 
-    Every coefficient goes over the lcm of the denominators and every k-power
-    over the lowest exponent, so the sum runs in integers; ``primes`` are the
-    primes of k.
+    The scalar is ``num / den``; each row is (e - low, ((s, c), ...)) with
+    integer c, and ``indices`` are the distinct Jordan indices (with 1 when
+    phi_exp > 0), so one Jordan table serves the whole evaluation at k.
     """
-    if not laurent:
-        return 0, 1
+
+    num: int
+    den: int
+    phi_exp: int
+    low: int
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    indices: tuple[int, ...]
+
+
+def _build_plan(laurent: Mapping, scalar: Fraction | int = 1, phi_exp: int = 0, den: int = 1) -> _Plan:
+    """The plan of scalar * phi(k)^phi_exp * laurent(k).
+
+    Every coefficient times ``den`` must be an integer: a canonical
+    ``ClosedForm`` body needs den = 1, any other Laurent the lcm of its
+    denominators, which goes into the scalar's denominator.
+    """
+    low = min(laurent, default=0)
+    rows = tuple([
+        (e - low, tuple([(s, c.numerator * (den // c.denominator)) for s, c in combo.items()]))
+        for e, combo in laurent.items()
+    ])
+    indices = {s for combo in laurent.values() for s in combo}
+    if phi_exp:
+        indices.add(1)
+    return _Plan(scalar.numerator, scalar.denominator * den, phi_exp, low, rows, tuple(sorted(indices)))
+
+
+def _laurent_plan(laurent: KLaurent) -> _Plan:
     # A list, not a generator: on CPython 3.11, unpacking generators of
     # varying length into arguments left ~1 MB more peak RSS in a warm session.
-    den = math.lcm(*[c.denominator for combo in laurent.values() for c in combo.values()])
-    low = min(laurent)
-    num = 0
-    for e, combo in laurent.items():
-        terms = ((s, c.numerator * (den // c.denominator)) for s, c in combo.items())
-        num += k ** (e - low) * _jordan_sum(terms, k, primes)
+    return _build_plan(laurent, den=math.lcm(*[c.denominator for combo in laurent.values() for c in combo.values()]))
+
+
+def _plan_ratio(plan: _Plan, k: int) -> tuple[int, int]:
+    """The plan's value at k as an unreduced (numerator, denominator) pair.
+
+    One factorization of k and one Jordan table; every k-power is taken
+    over the lowest exponent, so the sum runs in integers.
+    """
+    num, den, phi_exp, low, rows, indices = plan
+    jordan = _jordan_table(indices, k, factorize(k).primes)
+    total = 0
+    for shift, terms in rows:
+        total += k**shift * sum([c * jordan[s] for s, c in terms])
+    num *= total
+    if phi_exp:
+        num *= jordan[1] ** phi_exp
     if low < 0:
         return num, den * k**-low
     return num * k**low, den
@@ -133,14 +180,14 @@ def evaluate_jordan(combo: JordanCombo, k: int) -> Fraction:
     """sum_s coeff * J_s(k), exact."""
     if k < 1:
         raise ValueError(f"evaluate_jordan: k must be >= 1, got {k}")
-    return Fraction(*_laurent_ratio({0: combo}, k, factorize(k).primes))
+    return Fraction(*_plan_ratio(_laurent_plan({0: combo}), k))
 
 
 def evaluate_laurent(laurent: KLaurent, k: int) -> Fraction:
     """sum_e k^e * combo_e(k), exact."""
     if k < 1:
         raise ValueError(f"evaluate_laurent: k must be >= 1, got {k}")
-    return Fraction(*_laurent_ratio(laurent, k, factorize(k).primes))
+    return Fraction(*_plan_ratio(_laurent_plan(laurent), k))
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +198,15 @@ def evaluate_laurent(laurent: KLaurent, k: int) -> Fraction:
 class ClosedForm:
     """scalar * pi^pi_exp * phi(k)^phi_exp * body(k), canonicalized and immutable.
 
-    ``body`` is stored as read-only mappings, equal to the plain dicts.
+    ``body`` is stored as read-only mappings, equal to the plain dicts;
+    ``_plan`` is the integer evaluation plan of the canonical form.
     """
 
     scalar: Fraction
     pi_exp: int
     phi_exp: int
     body: Mapping[int, Mapping[int, Fraction]] = field(default_factory=dict)
+    _plan: _Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pi_exp < 0 or self.phi_exp < 0:
@@ -171,6 +220,7 @@ class ClosedForm:
             body = {e: jc_scale(combo, 1 / content) for e, combo in body.items()}
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "body", _frozen(body))
+        object.__setattr__(self, "_plan", _build_plan(body, scalar, self.phi_exp))
 
     def __hash__(self):
         body = frozenset((e, frozenset(combo.items())) for e, combo in self.body.items())
@@ -198,25 +248,33 @@ def _content(body: KLaurent) -> Fraction:
     return Fraction(sign * num_gcd, den_lcm)
 
 
+@functools.cache
+def _pi_power(pi_exp: int, precision_bits: int) -> tuple:
+    """pi^pi_exp at ``precision_bits`` working precision, as an mpf value tuple."""
+    with mp.workprec(precision_bits):
+        return (mp.pi**pi_exp)._mpf_
+
+
 def evaluate_closed_form(form: ClosedForm, k: int, precision_bits: int = 128):
     """Numeric value at k: exact rational part first, pi power last.
 
     Returns an mpmath float computed at ``precision_bits`` working precision
-    (plus guard bits for the final multiplications).
+    (plus guard bits for the final multiplications); pi^pi_exp is computed
+    once per (exponent, precision) and cached.
     """
     if k < 3:
         raise ValueError(f"evaluate_closed_form: k must be >= 3, got {k}")
     if precision_bits < 53:
         raise ValueError(f"evaluate_closed_form: precision_bits must be >= 53, got {precision_bits}")
-    primes = factorize(k).primes
-    num, den = _laurent_ratio(form.body, k, primes)
-    phi = _jordan_sum(((1, 1),), k, primes)
-    exact = Fraction(form.scalar.numerator * phi**form.phi_exp * num, form.scalar.denominator * den)
-    with mp.workprec(precision_bits + 16):
-        value = mp.mpf(exact.numerator) / exact.denominator * mp.pi ** form.pi_exp
-    with mp.workprec(precision_bits):
-        value = +value
-    return value
+    num, den = _plan_ratio(form._plan, k)
+    g = math.gcd(num, den)
+    # mp.mpf(num) / den * pi^pi_exp at precision_bits + 16, then rounded to
+    # precision_bits: the same roundings as that context arithmetic, made
+    # by the libmp functions it calls, without entering working precisions.
+    prec = precision_bits + 16
+    value = mpf_div(mpf_pos(from_int(num // g), prec, round_nearest), from_int(den // g), prec, round_nearest)
+    value = mpf_mul(value, _pi_power(form.pi_exp, prec), prec, round_nearest)
+    return mp.make_mpf(mpf_pos(value, precision_bits, round_nearest))
 
 
 # ---------------------------------------------------------------------------

@@ -126,12 +126,13 @@ class TestVerify:
         assert out == ""
         assert "verify: --prec must be >= 53" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])
     def test_bad_tolerance_is_usage_error(self, capsys, tol):
         code, out, err = run(capsys, "verify", "--r", "3", "--k", "5", "--tol", tol)
         assert code == 2
         assert out == ""
         assert "--tol" in err
+        assert err.startswith(f"verify: --tol must be a finite non-negative number, got {tol!r}")
 
     def test_report_pinned(self, capsys):
         # values and bytes as the per-character route wrote them, so the
@@ -195,6 +196,14 @@ class TestIdentityCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("identity-check:")
+
+    @pytest.mark.parametrize("which", ["realjs", "expsum"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])
+    def test_bad_tolerance_is_usage_error(self, capsys, which, tol):
+        code, out, err = run(capsys, "identity-check", "--which", which, "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"identity-check: --tol must be a finite non-negative number, got {tol!r}")
 
 
 class TestPlumbing:

@@ -11,10 +11,12 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from meansq.mean_square import mean_square_even, mean_square_odd
 from meansq.multiplicative import factorize, jordan_totient
 from meansq.symbolic import (
     evaluate_closed_form,
@@ -28,8 +30,13 @@ from meansq.symbolic import (
 GOLDEN = json.loads((Path(__file__).resolve().parent / "data" / "golden_symbolic.json").read_text(encoding="utf-8"))
 
 # Powers of two, primorials, highly composite numbers, a prime near 10^5,
-# twice that prime, and the top of the warm-query range.
-MODULI = (3, 4, 8, 1024, 30, 210, 2310, 360, 720720, 99991, 2 * 99991, 10**5)
+# twice that prime, and the top of the warm-query range; then moduli whose
+# primes lie past the factorization's table of the primes below 1000: the
+# largest prime below 10^6, and 10^6 + 3, which is prime.
+MODULI = (
+    3, 4, 8, 1024, 2**20, 30, 210, 2310, 360, 720720, 99991, 2 * 99991, 10**5,
+    1009**2, 2 * 1009 * 1013, 999983, 10**6 + 3,
+)
 
 
 def ref_jordan(s, k):
@@ -82,6 +89,18 @@ class TestGoldenValues:
                 for bits in (53, 128):
                     got = evaluate_closed_form(form, k, bits)
                     assert got._mpf_ == ref_closed_form(form, k, bits)._mpf_, (form, k, bits)
+
+    @pytest.mark.parametrize("r", range(16, 22))
+    def test_built_forms_beyond_golden(self, r):
+        # Built forms, not parsed renders: the builders hand ClosedForm bodies
+        # that are not yet canonical, so this also checks that the
+        # evaluation plan is made from the canonical body.
+        forms = mean_square_odd(r) if r % 2 else mean_square_even(r)
+        for form in forms if isinstance(forms, tuple) else (forms,):
+            for k in MODULI:
+                for bits in (53, 128):
+                    got = evaluate_closed_form(form, k, bits)
+                    assert got._mpf_ == ref_closed_form(form, k, bits)._mpf_, (r, k, bits)
 
     def test_sin_sums(self):
         combos = _golden_sin_sums()

@@ -4,7 +4,8 @@ The builders keep every scalar table below the published values as integer
 numerators over one denominator.  The reference functions here are the
 same sums written directly in ``Fraction``s, one normalizing operation per
 step; each integer table, divided by its denominator, must equal them
-exactly.
+exactly.  The derivative coefficients, filled row by row from a
+recurrence, must equal their defining sum of q-th powers.
 """
 
 import math
@@ -13,9 +14,13 @@ from math import comb
 
 import pytest
 
-from meansq.exact import _bernoulli_ints, bernoulli, factorial
+from meansq.exact import _bernoulli_ints, _deriv_int, bernoulli, factorial
 from meansq.mean_square import _bernoulli_sum, _power_sum
 from meansq.sine_sums import _induction_weights, _recip_power_real
+
+
+def reference_deriv_coeff(q, j):
+    return sum((-1) ** (r + q) * comb(j - 1, r) * (j - r) ** q for r in range(j))
 
 
 def reference_recip_power_real(n):
@@ -81,6 +86,11 @@ def test_bernoulli_numerators_share_one_denominator():
     assert [Fraction(b, den) for b in nums] == [bernoulli(q) for q in range(61)]
     # von Staudt-Clausen: the lcm is the product of the primes p with p - 1 <= 60
     assert den == math.prod(p for p in range(2, 62) if all(p % d for d in range(2, p)))
+
+
+def test_deriv_coeff_rows_match_the_sum_definition():
+    for q in range(61):
+        assert [_deriv_int(q, j) for j in range(1, q + 2)] == [reference_deriv_coeff(q, j) for j in range(1, q + 2)], q
 
 
 @pytest.mark.parametrize("n", range(1, 61))

@@ -24,6 +24,21 @@ class TestFactorize:
             assert f.value() == n
             assert list(f.primes) == sorted(f.primes)
 
+    @pytest.mark.parametrize(
+        "n,factors",
+        [
+            (997 * 1009, ((997, 1), (1009, 1))),
+            (997**2, ((997, 2),)),
+            (1009**2, ((1009, 2),)),
+            (10**6 + 3, ((10**6 + 3, 1),)),
+            (2 * (10**6 + 3), ((2, 1), (10**6 + 3, 1))),
+        ],
+    )
+    def test_primes_at_and_past_the_table(self, n, factors):
+        # 997 is the last prime of the table of primes below 1000; past it
+        # the trial division goes on with the odd numbers from 1001
+        assert factorize(n).factors == factors
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factorize(0)

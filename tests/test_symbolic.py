@@ -151,6 +151,8 @@ class TestImmutability:
     def test_pickle_and_deepcopy(self):
         for again in (pickle.loads(pickle.dumps(R5_FORM)), copy.deepcopy(R5_FORM)):
             assert again == R5_FORM and hash(again) == hash(R5_FORM)
+            for k in (7, 720720):
+                assert evaluate_closed_form(again, k)._mpf_ == evaluate_closed_form(R5_FORM, k)._mpf_
             with pytest.raises(TypeError):
                 again.body[-10][10] = F(1)
 
