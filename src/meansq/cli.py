@@ -83,12 +83,13 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _parse_tol(text):
     """Relative tolerance: finite and non-negative, else ValueError."""
+    message = f"--tol must be a finite non-negative number, got {text!r}"
     try:
         tol = mp.mpf(text)
-    except (TypeError, ValueError):
-        tol = mp.nan
+    except ValueError:
+        raise ValueError(message) from None
     if not mp.isfinite(tol) or tol < 0:
-        raise ValueError(f"--tol must be a finite non-negative number, got {text!r}")
+        raise ValueError(message)
     return tol
 
 

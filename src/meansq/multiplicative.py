@@ -24,7 +24,7 @@ class Factorization:
 
     @property
     def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
+        return tuple([p for p, _ in self.factors])
 
     def value(self) -> int:
         out = 1

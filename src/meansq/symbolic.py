@@ -36,7 +36,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import NamedTuple
 
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pos, round_nearest
@@ -117,30 +116,18 @@ def _thawed(laurent: Mapping) -> KLaurent:
     return {e: combo.copy() for e, combo in laurent.items()}
 
 
-class _Plan(NamedTuple):
-    """scalar * phi(k)^phi_exp * sum_e k^e * sum_s c * J_s(k) as integers.
+def _build_plan(laurent: Mapping, scalar: Fraction | int, phi_exp: int, den: int = 1) -> tuple:
+    """Integer evaluation plan of scalar * phi(k)^phi_exp * laurent(k).
 
-    The scalar is ``num / den``; each row is (e - low, ((s, c), ...)) with
-    integer c, and ``indices`` are the distinct Jordan indices (with 1 when
-    phi_exp > 0), so one Jordan table serves the whole evaluation at k.
-    """
-
-    num: int
-    den: int
-    phi_exp: int
-    low: int
-    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-    indices: tuple[int, ...]
-
-
-def _build_plan(laurent: Mapping, scalar: Fraction | int = 1, phi_exp: int = 0, den: int = 1) -> _Plan:
-    """The plan of scalar * phi(k)^phi_exp * laurent(k).
-
+    The plan is (num, den, phi_exp, low, rows, indices): the scalar as
+    num / den, the lowest k-exponent, one row (e - low, ((s, c), ...)) per
+    exponent with integer c, and the ascending distinct Jordan indices (with
+    1 when phi_exp > 0), so one Jordan table serves the whole evaluation.
     Every coefficient times ``den`` must be an integer: a canonical
     ``ClosedForm`` body needs den = 1, any other Laurent the lcm of its
     denominators, which goes into the scalar's denominator.
     """
-    low = min(laurent, default=0)
+    low = min(laurent) if laurent else 0
     rows = tuple([
         (e - low, tuple([(s, c.numerator * (den // c.denominator)) for s, c in combo.items()]))
         for e, combo in laurent.items()
@@ -148,16 +135,17 @@ def _build_plan(laurent: Mapping, scalar: Fraction | int = 1, phi_exp: int = 0, 
     indices = {s for combo in laurent.values() for s in combo}
     if phi_exp:
         indices.add(1)
-    return _Plan(scalar.numerator, scalar.denominator * den, phi_exp, low, rows, tuple(sorted(indices)))
+    return scalar.numerator, scalar.denominator * den, phi_exp, low, rows, tuple(sorted(indices))
 
 
-def _laurent_plan(laurent: KLaurent) -> _Plan:
+def _laurent_plan(laurent: KLaurent) -> tuple:
+    """The plan of a Laurent with any rational coefficients, over their lcm."""
     # A list, not a generator: on CPython 3.11, unpacking generators of
     # varying length into arguments left ~1 MB more peak RSS in a warm session.
-    return _build_plan(laurent, den=math.lcm(*[c.denominator for combo in laurent.values() for c in combo.values()]))
+    return _build_plan(laurent, 1, 0, math.lcm(*[c.denominator for combo in laurent.values() for c in combo.values()]))
 
 
-def _plan_ratio(plan: _Plan, k: int) -> tuple[int, int]:
+def _plan_ratio(plan: tuple, k: int) -> tuple[int, int]:
     """The plan's value at k as an unreduced (numerator, denominator) pair.
 
     One factorization of k and one Jordan table; every k-power is taken
@@ -167,7 +155,10 @@ def _plan_ratio(plan: _Plan, k: int) -> tuple[int, int]:
     jordan = _jordan_table(indices, k, factorize(k).primes)
     total = 0
     for shift, terms in rows:
-        total += k**shift * sum([c * jordan[s] for s, c in terms])
+        row = 0
+        for s, c in terms:
+            row += c * jordan[s]
+        total += k**shift * row
     num *= total
     if phi_exp:
         num *= jordan[1] ** phi_exp
@@ -206,7 +197,7 @@ class ClosedForm:
     pi_exp: int
     phi_exp: int
     body: Mapping[int, Mapping[int, Fraction]] = field(default_factory=dict)
-    _plan: _Plan = field(init=False, repr=False, compare=False)
+    _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pi_exp < 0 or self.phi_exp < 0:
