@@ -18,6 +18,7 @@ identical invocations); everything else goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -314,7 +315,9 @@ def _cmd_identity_check(args) -> int:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="meansq",
         description="Exact mean-square closed forms for Dirichlet L-values, "

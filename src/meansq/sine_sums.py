@@ -37,7 +37,9 @@ error, since the published expansions carry no k).
 ``recip_power_real_sum(n)`` publishes R(n) as a Jordan combination.
 
 The sine sums and R(n) tables are cached read-only mappings, shared inside
-the package; ``sin_sum_exact`` returns a fresh dict.
+the package; ``sin_sum_exact`` returns a fresh dict.  Each cached sine sum's
+evaluation plan is kept by ``symbolic``, so ``evaluate_jordan`` on an
+unchanged copy reuses it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from mpmath import mp
 
 from .exact import _bernoulli_ints, _deriv_int, bernoulli
 from .multiplicative import coprime_residues
-from .symbolic import JordanCombo, KLaurent, _frozen
+from .symbolic import JordanCombo, KLaurent, _frozen, _keep_jordan_plan
 
 __all__ = [
     "UncancelledPowerError",
@@ -67,18 +69,24 @@ class UncancelledPowerError(RuntimeError):
 
 @cache
 def _sin(n: int) -> Mapping[int, Fraction]:
-    """The order-n sum, frozen; lower orders are built first, so recursion stays shallow."""
+    """The order-n sum, frozen; lower orders are built first, so recursion stays shallow.
+
+    Its evaluation plan is kept in ``symbolic`` for ``evaluate_jordan``.
+    """
     if n == 0:
-        return _frozen({1: Fraction(1)})
-    for m in range(2, n, 2):
-        _sin(m)
-    laurent = _recursion_laurent(n)
-    stray = sorted(e for e in laurent if e != 0)
-    if stray:
-        raise UncancelledPowerError(
-            f"sine power sum of order {n}: k-exponents {stray} survived collection"
-        )
-    return _frozen(laurent.get(0, {}))
+        combo = {1: Fraction(1)}
+    else:
+        for m in range(2, n, 2):
+            _sin(m)
+        laurent = _recursion_laurent(n)
+        stray = sorted(e for e in laurent if e != 0)
+        if stray:
+            raise UncancelledPowerError(
+                f"sine power sum of order {n}: k-exponents {stray} survived collection"
+            )
+        combo = laurent.get(0, {})
+    _keep_jordan_plan(combo)
+    return _frozen(combo)
 
 
 @cache

@@ -23,8 +23,13 @@ Each form carries its evaluation plan, built once from the canonical body:
 the lowest k-exponent, the (Jordan index, integer coefficient) pairs of each
 exponent and the distinct Jordan indices.  Evaluating at k reads only the
 plan: one factorization of k, one table of the J_s(k) and integer sums, with
-one reduction at the end.  ``evaluate_jordan`` and ``evaluate_laurent`` build
-the same plan from their argument on each call and share the evaluator.
+one reduction at the end.  ``evaluate_laurent`` builds the same plan from its
+argument on each call and shares the evaluator.  ``evaluate_jordan`` does too,
+except for a combo equal to a cached sine sum: ``sine_sums`` keeps each sum's
+plan here when it caches the sum, and that plan is reused.
+
+Renders of a ``ClosedForm`` are cached on the form, one string per format,
+filled on first use: the form is immutable, so the bytes cannot change.
 """
 
 from __future__ import annotations
@@ -167,10 +172,28 @@ def _plan_ratio(plan: tuple, k: int) -> tuple[int, int]:
     return num * k**low, den
 
 
+# Plans of the cached sine sums, keyed by top Jordan index: (combo, plan).
+# A plan serves only a combo equal to the one it was built from, so a stale
+# entry or a mutated copy costs a plan build, never a wrong value.
+_JORDAN_PLANS: dict[int, tuple[JordanCombo, tuple]] = {}
+
+
+def _keep_jordan_plan(combo: JordanCombo) -> None:
+    """Keep the plan of a cached combo for ``evaluate_jordan``.
+
+    Copies of the cached value share its ``Fraction`` objects, so the
+    equality test that guards the plan is an identity check per coefficient.
+    """
+    _JORDAN_PLANS[max(combo)] = combo, _laurent_plan({0: combo})
+
+
 def evaluate_jordan(combo: JordanCombo, k: int) -> Fraction:
     """sum_s coeff * J_s(k), exact."""
     if k < 1:
         raise ValueError(f"evaluate_jordan: k must be >= 1, got {k}")
+    kept = _JORDAN_PLANS.get(max(combo)) if combo else None
+    if kept is not None and kept[0] == combo:
+        return Fraction(*_plan_ratio(kept[1], k))
     return Fraction(*_plan_ratio(_laurent_plan({0: combo}), k))
 
 
@@ -190,7 +213,8 @@ class ClosedForm:
     """scalar * pi^pi_exp * phi(k)^phi_exp * body(k), canonicalized and immutable.
 
     ``body`` is stored as read-only mappings, equal to the plain dicts;
-    ``_plan`` is the integer evaluation plan of the canonical form.
+    ``_plan`` is the integer evaluation plan of the canonical form and
+    ``_renders`` holds each format's render once it has been asked for.
     """
 
     scalar: Fraction
@@ -198,6 +222,7 @@ class ClosedForm:
     phi_exp: int
     body: Mapping[int, Mapping[int, Fraction]] = field(default_factory=dict)
     _plan: tuple = field(init=False, repr=False, compare=False)
+    _renders: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pi_exp < 0 or self.phi_exp < 0:
@@ -212,6 +237,7 @@ class ClosedForm:
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "body", _frozen(body))
         object.__setattr__(self, "_plan", _build_plan(body, scalar, self.phi_exp))
+        object.__setattr__(self, "_renders", {})
 
     def __hash__(self):
         body = frozenset((e, frozenset(combo.items())) for e, combo in self.body.items())
@@ -386,16 +412,22 @@ def render(obj: ClosedForm | JordanCombo, format: str = "text") -> str:
 
     Formats: ``latex``, ``json``, ``text``.  Terms are ordered by descending
     Jordan index (and descending k-exponent); identical inputs produce
-    byte-identical output.
+    byte-identical output.  A ``ClosedForm``'s render is made once per
+    format and kept on the form.
     """
     if format not in ("latex", "json", "text"):
         raise ValueError(f"render: unknown format {format!r}")
     if isinstance(obj, ClosedForm):
-        if format == "json":
-            return json.dumps(_closed_form_json(obj))
-        if format == "latex":
-            return _closed_form_latex(obj)
-        return _closed_form_text(obj)
+        text = obj._renders.get(format)
+        if text is None:
+            if format == "json":
+                text = json.dumps(_closed_form_json(obj))
+            elif format == "latex":
+                text = _closed_form_latex(obj)
+            else:
+                text = _closed_form_text(obj)
+            obj._renders[format] = text
+        return text
     if format == "json":
         return json.dumps(_combo_json(obj))
     return _combo_terms(obj, latex=(format == "latex"))

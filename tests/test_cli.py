@@ -1,10 +1,14 @@
 """Tests for the command-line interface (exit codes, formats, determinism)."""
 
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meansq import cli
 from meansq.cli import main
@@ -261,6 +265,36 @@ class TestPlumbing:
         assert exc.value.code == 2
 
 
+class TestRepeatedCalls:
+    """Many ``main`` calls in one process share one parser and leak nothing into the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize(
+        "argv,flags,config",
+        [
+            (
+                ("verify", "--r", "3", "--k", "5"),
+                ("--prec", "60", "--tol", "1e-8", "--pedantic"),
+                {"prec": 60, "tol": "1e-8", "pedantic": True},
+            ),
+            (("closed-form", "--r", "5"), ("--format", "latex", "--pedantic"), {"format": "latex", "pedantic": True}),
+        ],
+        ids=["verify", "closed-form"],
+    )
+    def test_settings_do_not_carry_over(self, capsys, tmp_path, argv, flags, config):
+        cli._build_parser.cache_clear()
+        fresh = run(capsys, *argv)
+        assert fresh[0] == 0
+        assert run(capsys, *argv, *flags) != fresh
+        assert run(capsys, *argv) == fresh
+        cfg = tmp_path / "meansq.json"
+        cfg.write_text(json.dumps(config))
+        assert run(capsys, "--config", str(cfg), *argv) != fresh
+        assert run(capsys, *argv) == fresh
+
+
 class TestConfigValueTypes:
     @pytest.mark.parametrize(
         "config,argv,key",
@@ -311,3 +345,83 @@ class TestCancellationFailure:
         assert code == 1
         assert out == ""
         assert "internal cancellation failure" in err
+
+
+# Random argv at small sizes (r <= 12, n <= 20, k <= 60).  One family holds
+# only well-formed values, with every required option; the other mixes in
+# values that must be refused and may leave any option out; the last is
+# tokens in any order.  identity-check always gets a single small modulus,
+# so no example runs a default sweep.
+BAD = st.sampled_from(["abc", "nan", "5..3", "-1", "0", "", "3..", "1,,2", "inf", "1e3"])
+FORMAT_VALUES = st.sampled_from(["json", "latex", "text", "html"])
+WHICH_VALUES = st.sampled_from(["realjs", "expsum", "sigma-cancel", "sigma0"])
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _int_lists(lo, hi):
+    spans = st.tuples(st.integers(lo, hi), st.integers(0, 1)).map(lambda t: f"{t[0]}..{t[0] + t[1]}")
+    return st.one_of(_ints(lo, hi), spans)
+
+
+def _command(name, *options):
+    return st.tuples(st.just([name]), *options).map(lambda parts: [token for part in parts for token in part])
+
+
+def _commands(well_formed):
+    def required(flag, values):
+        if well_formed:
+            return values.map(lambda v: [flag, v])
+        return optional(flag, values)
+
+    def optional(flag, values):
+        if not well_formed:
+            values = st.one_of(values, BAD)
+        return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+    return st.one_of(
+        _command("closed-form", required("--r", _ints(1, 12)), optional("--format", FORMAT_VALUES)),
+        _command(
+            "sin-sum",
+            required("--n", _ints(0, 20)),
+            optional("--k", _ints(3, 60)),
+            optional("--format", FORMAT_VALUES),
+        ),
+        _command(
+            "verify",
+            required("--r", _int_lists(1, 12)),
+            required("--k", _int_lists(3, 60)),
+            optional("--prec", st.sampled_from(["53", "96"])),
+            optional("--tol", st.sampled_from(["1e-10", "1e-300"])),
+        ),
+        _command(
+            "identity-check",
+            required("--which", WHICH_VALUES if well_formed else st.one_of(WHICH_VALUES, st.just("bogus"))),
+            optional("--p", _ints(1, 2)),
+            optional("--q", _ints(1, 2)),
+            optional("--n", _ints(1, 2)),
+            _ints(3, 12).map(lambda k: ["--k", k]),
+            optional("--h", _int_lists(0, 5)),
+        ),
+    )
+
+
+ARGV = st.one_of(
+    _commands(well_formed=True),
+    _commands(well_formed=False),
+    st.lists(st.sampled_from(["closed-form", "verify", "--r", "--k", "--n", "--format", "5", "json", "--bogus"]), max_size=5),
+)
+
+
+class TestRandomArgv:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ARGV)
+    def test_exit_code_without_traceback(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv

@@ -16,8 +16,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from meansq import symbolic
 from meansq.mean_square import mean_square_even, mean_square_odd
 from meansq.multiplicative import factorize, jordan_totient
+from meansq.sine_sums import UncancelledPowerError, sin_sum_exact
 from meansq.symbolic import (
     evaluate_closed_form,
     evaluate_jordan,
@@ -143,3 +145,82 @@ class TestProperties:
     def test_jordan_multiplicative(self, s, m, n):
         assume(math.gcd(m, n) == 1)
         assert jordan_totient(s, m * n) == jordan_totient(s, m) * jordan_totient(s, n)
+
+
+SINE_ORDERS = range(0, 42, 2)
+PLAN_MODULI = (3, 30, 210, 1024, 99991, 720720)
+
+
+def _mutations(n):
+    """Copies of sin_sum_exact(n), each changed in place in one way."""
+    top = max(sin_sum_exact(n))
+    low = min(sin_sum_exact(n))
+
+    def changed(s, factor):
+        combo = sin_sum_exact(n)
+        combo[s] *= factor
+        return combo
+
+    def dropped(s):
+        combo = sin_sum_exact(n)
+        del combo[s]
+        return combo
+
+    def added(s, c):
+        combo = sin_sum_exact(n)
+        combo[s] = c
+        return combo
+
+    # The added top index n + 2 is the key of the next cached sum; the
+    # added odd index 3 leaves the top index, and so the key, unchanged.
+    return {
+        "top-changed": changed(top, 3),
+        "low-changed": changed(low, Fraction(-1, 2)),
+        "top-dropped": dropped(top),
+        "low-dropped": dropped(low),
+        "above-added": added(n + 2, Fraction(1, 7)),
+        "odd-added": added(3, Fraction(5)),
+    }
+
+
+class TestKeptSinePlans:
+    """``evaluate_jordan`` reuses a cached sine sum's plan only for an equal combo."""
+
+    def test_every_cached_sum_uses_its_kept_plan(self, monkeypatch):
+        combos = {n: sin_sum_exact(n) for n in SINE_ORDERS}
+
+        def refuse(laurent):
+            raise AssertionError(f"plan built for a cached sine sum: {laurent}")
+
+        monkeypatch.setattr(symbolic, "_laurent_plan", refuse)
+        for n, combo in combos.items():
+            for k in PLAN_MODULI:
+                assert evaluate_jordan(combo, k) == ref_combo(combo, k), (n, k)
+
+    @pytest.mark.parametrize("n", [0, 2, 6, 20, 40])
+    def test_mutated_copies_get_their_own_plan(self, n):
+        for name, combo in _mutations(n).items():
+            for k in PLAN_MODULI:
+                assert evaluate_jordan(combo, k) == ref_combo(combo, k), (n, name, k)
+
+    def test_equal_combo_of_fresh_fractions(self):
+        for n in SINE_ORDERS:
+            fresh = {s: Fraction(c.numerator, c.denominator) for s, c in sin_sum_exact(n).items()}
+            for k in PLAN_MODULI:
+                value = evaluate_jordan(fresh, k)
+                assert value == evaluate_jordan(sin_sum_exact(n), k) == ref_combo(fresh, k), (n, k)
+
+    def test_values_after_the_cache_is_rebuilt(self, corrupted_induction):
+        # The fixture emptied the sine-sum cache: the orders below the
+        # corrupted one are rebuilt, with new Fraction objects, and the
+        # corrupted order is never cached.
+        n = corrupted_induction
+        for order in range(0, n, 2):
+            combo = sin_sum_exact(order)
+            for k in PLAN_MODULI:
+                assert evaluate_jordan(combo, k) == ref_combo(combo, k), (order, k)
+        with pytest.raises(UncancelledPowerError):
+            sin_sum_exact(n)
+        for combo in _golden_sin_sums():
+            for k in PLAN_MODULI:
+                assert evaluate_jordan(combo, k) == ref_combo(combo, k), (combo, k)

@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from meansq.symbolic import (
 )
 
 F = Fraction
+FORMATS = ("json", "latex", "text")
 
 
 class TestAlgebra:
@@ -188,6 +190,34 @@ class TestRendering:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render({}, "html")
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parent / "data" / "golden_symbolic.json").read_text(encoding="utf-8"))
+GOLDEN_FORMS = [text for texts in GOLDEN["closed_forms"].values() for text in texts]
+
+
+class TestRenderCache:
+    def test_copies_render_the_same_bytes(self):
+        for text in GOLDEN_FORMS:
+            form = parse_closed_form(text)
+            renders = {fmt: render(form, fmt) for fmt in FORMATS}
+            assert renders["json"] == text
+            assert {fmt: render(form, fmt) for fmt in FORMATS} == renders
+            for again in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form), parse_closed_form(text)):
+                assert again == form and hash(again) == hash(form)
+                assert {fmt: render(again, fmt) for fmt in reversed(FORMATS)} == renders
+
+    def test_distinct_forms_render_distinct_bytes(self):
+        forms = [parse_closed_form(text) for text in GOLDEN_FORMS]
+        for fmt in FORMATS:
+            assert len({render(form, fmt) for form in forms}) == len(forms), fmt
+
+    def test_cache_is_not_part_of_the_value(self):
+        form = parse_closed_form(GOLDEN_FORMS[0])
+        render(form, "latex")
+        fresh = parse_closed_form(GOLDEN_FORMS[0])
+        assert fresh == form and hash(fresh) == hash(form) and repr(fresh) == repr(form)
+        assert pickle.dumps(fresh) == pickle.dumps(form)
 
 
 class TestJsonRoundTrip:
