@@ -7,6 +7,8 @@ fixed list of invocations (``INVOCATIONS``):
 * ``sin-sum --n 20`` evaluated at moduli on both sides of the
   factorization's prime table (k = 30, 99991, 720720, 1009^2, 999983);
 * ``verify --r 1,3..8 --k 3..12``;
+* one passing run of each ``identity-check`` suite, and ``sin-sum`` in the
+  JSON and LaTeX formats;
 * usage errors, whose stdout is empty and whose exit code is 2.
 
 Stderr is not recorded: messages may be reworded, stdout and exit codes may
@@ -60,6 +62,12 @@ INVOCATIONS = (
     *(("closed-form", "--r", str(r), "--format", fmt) for r in RANKS for fmt in FORMATS),
     *(("sin-sum", "--n", "20", "--k", str(k)) for k in SIN_MODULI),
     ("verify", "--r", "1,3..8", "--k", "3..12"),
+    ("identity-check", "--which", "realjs", "--p", "2", "--q", "2", "--k", "3..5"),
+    ("identity-check", "--which", "expsum", "--n", "2", "--k", "3..5"),
+    ("identity-check", "--which", "sigma-cancel", "--h", "1..3"),
+    ("identity-check", "--which", "sigma0", "--h", "0..2"),
+    ("sin-sum", "--n", "6", "--k", "30", "--format", "json"),
+    ("sin-sum", "--n", "6", "--format", "latex"),
     *USAGE_ERRORS,
 )
 
