@@ -6,12 +6,13 @@ Numeric route: independent character enumeration plus finite Hurwitz-zeta
 combinations.  The CLI (``meansq``) exposes both and their comparison.
 """
 
-from .exact import ChebyshevCoeffs, bernoulli, binomial, chebyshev_coeffs, deriv_coeff
+from .exact import bernoulli, binomial, deriv_coeff, factorial
 from .mean_square import (
     exp_product_real,
     l_principal_closed_form,
     mean_square_even,
     mean_square_odd,
+    power_sum_real,
     realjs_rhs_exact,
     sigma0,
     sigma0_prime,
@@ -42,7 +43,6 @@ from .symbolic import (
     jc_add,
     jc_scale,
     kl_add,
-    kl_scale,
     kl_shift,
     parse_closed_form,
     parse_jordan_combo,

@@ -219,14 +219,14 @@ def _cmd_verify(args) -> int:
 def _check_realjs(args) -> list[dict]:
     if args.p < 1 or args.q < 1:
         raise ValueError(f"--p and --q must be >= 1, got {args.p} and {args.q}")
-    k_list = _parse_int_list(args.k) if args.k else list(range(3, 11))
+    k_list = _parse_int_list(args.k) if args.k is not None else list(range(3, 11))
     tol = _parse_tol(args.tol)
     cases = []
     for p in range(1, args.p + 1):
         for q in range(1, args.q + 1):
             for k in k_list:
                 exact = realjs_rhs_exact(p, q, k)
-                direct = exp_sum_direct(p, q, k, conjugate_second=False, precision_bits=args.prec)
+                direct = exp_sum_direct(p, q, k, precision_bits=args.prec)
                 with mp.workprec(args.prec):
                     exact_mp = mp.mpf(exact.numerator) / exact.denominator
                     scale = max(abs(direct.real), mp.mpf(1))
@@ -240,7 +240,7 @@ def _check_realjs(args) -> list[dict]:
 def _check_expsum(args) -> list[dict]:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    k_list = _parse_int_list(args.k) if args.k else list(range(3, 13))
+    k_list = _parse_int_list(args.k) if args.k is not None else list(range(3, 13))
     tol = float(_parse_tol(args.tol))
     cases = []
     for n in range(1, args.n + 1):
@@ -252,7 +252,7 @@ def _check_expsum(args) -> list[dict]:
 
 
 def _check_sigma_cancel(args) -> list[dict]:
-    h_list = _parse_int_list(args.h) if args.h else [1, 2, 3, 4]
+    h_list = _parse_int_list(args.h) if args.h is not None else [1, 2, 3, 4]
     if any(h < 1 for h in h_list):
         raise ValueError(f"every h must be >= 1, got {args.h}")
     cases = []
@@ -266,7 +266,7 @@ def _check_sigma_cancel(args) -> list[dict]:
 
 
 def _check_sigma0(args) -> list[dict]:
-    h_list = _parse_int_list(args.h) if args.h else [0, 1, 2, 3]
+    h_list = _parse_int_list(args.h) if args.h is not None else [0, 1, 2, 3]
     cases = []
     for h in h_list:
         value = sigma0(h)

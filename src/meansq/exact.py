@@ -18,7 +18,6 @@ shared freely between concurrent evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "factorial",
     "bernoulli",
     "deriv_coeff",
-    "ChebyshevCoeffs",
-    "chebyshev_coeffs",
 ]
 
 
@@ -114,48 +111,3 @@ def _deriv_int(q: int, j: int) -> int:
         row = (0, *_DERIV_ROWS[-1], 0)  # A(q, 0) .. A(q, q+2)
         _DERIV_ROWS.append(tuple(-j * row[j] - (j - 1) * row[j - 1] for j in range(1, len(row))))
     return _DERIV_ROWS[q][j - 1]
-
-
-@dataclass(frozen=True)
-class ChebyshevCoeffs:
-    """Coefficient list of a Chebyshev polynomial, low degree first."""
-
-    kind: str  # "first" | "second"
-    degree: int
-    coeffs: tuple[Fraction, ...]
-
-    def __call__(self, x):
-        """Evaluate at x by Horner's rule (works for float or Fraction)."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def chebyshev_coeffs(kind: str, n: int) -> ChebyshevCoeffs:
-    """Coefficients of T_n (kind="first") or U_n (kind="second").
-
-    Built from the explicit factorial representations
-
-        T_n(x) = (n/2) sum_c (-1)^c (n-c-1)!/(c! (n-2c)!) (2x)^(n-2c)
-        U_n(x) =       sum_c (-1)^c (n-c)!  /(c! (n-2c)!) (2x)^(n-2c)
-
-    with c up to floor(n/2).  The T formula degenerates at n = 0 (its n/2
-    prefactor vanishes), so T_0 = 1 is special-cased.
-    """
-    if n < 0:
-        raise ValueError(f"chebyshev_coeffs: n must be >= 0, got {n}")
-    if kind not in ("first", "second"):
-        raise ValueError(f"chebyshev_coeffs: kind must be 'first' or 'second', got {kind!r}")
-    coeffs = [Fraction(0)] * (n + 1)
-    if kind == "first" and n == 0:
-        coeffs[0] = Fraction(1)
-    else:
-        for c in range(n // 2 + 1):
-            deg = n - 2 * c
-            if kind == "first":
-                term = Fraction(n, 2) * (-1) ** c * factorial(n - c - 1) / (factorial(c) * factorial(deg))
-            else:
-                term = (-1) ** c * factorial(n - c) / (factorial(c) * factorial(deg))
-            coeffs[deg] = term * Fraction(2) ** deg
-    return ChebyshevCoeffs(kind=kind, degree=n, coeffs=tuple(coeffs))

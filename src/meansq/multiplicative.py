@@ -26,12 +26,6 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple([p for p, _ in self.factors])
 
-    def value(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
 
 # The primes below 1000, the first divisors ``factorize`` tries.
 _SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1)))

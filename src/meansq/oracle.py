@@ -272,12 +272,12 @@ def _unit_root(num: int, den: int):
     return mp.expjpi(2 * mp.mpf(num) / den)
 
 
-def exp_sum_direct(p: int, q: int, k: int, conjugate_second: bool, precision_bits: int = 128):
+def exp_sum_direct(p: int, q: int, k: int, precision_bits: int = 128):
     """Triple-loop evaluation of the paired power-twisted exponential sum.
 
     sum over coprime m of (sum_{j<k} j^p e^(2*pi*i*m*j/k)) times
-    (sum_{s<k} s^q e^(+-2*pi*i*m*s/k)); the second factor is conjugated when
-    ``conjugate_second`` is set.
+    (sum_{s<k} s^q e^(2*pi*i*m*s/k)).  Its real part is the direct side of
+    the identity whose exact side is ``realjs_rhs_exact(p, q, k)``.
     """
     if p < 1 or q < 1:
         raise ValueError(f"exp_sum_direct: p, q must be >= 1, got ({p}, {q})")
@@ -289,8 +289,7 @@ def exp_sum_direct(p: int, q: int, k: int, conjugate_second: bool, precision_bit
         total = mp.mpc(0)
         for m in coprime_residues(k):
             first = mp.fsum((j**p * _unit_root(m * j, k) for j in range(1, k)), absolute=False)
-            sign = -1 if conjugate_second else 1
-            second = mp.fsum((s**q * _unit_root(sign * m * s, k) for s in range(1, k)), absolute=False)
+            second = mp.fsum((s**q * _unit_root(m * s, k) for s in range(1, k)), absolute=False)
             total += first * second
     with mp.workprec(precision_bits):
         total = +total

@@ -54,7 +54,6 @@ __all__ = [
     "jc_add",
     "jc_scale",
     "kl_add",
-    "kl_scale",
     "kl_shift",
     "evaluate_jordan",
     "evaluate_laurent",
@@ -98,12 +97,6 @@ def kl_add(a: KLaurent, b: KLaurent) -> KLaurent:
         else:
             out.pop(e, None)
     return out
-
-
-def kl_scale(a: KLaurent, c: Fraction | int) -> KLaurent:
-    if not c:
-        return {}
-    return {e: jc_scale(combo, c) for e, combo in a.items()}
 
 
 def kl_shift(a: KLaurent, t: int) -> KLaurent:
@@ -303,10 +296,6 @@ def _frac_slash(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _coeff_text(c: Fraction) -> str:
-    return str(c)
-
-
 def _coeff_latex(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
@@ -327,7 +316,7 @@ def _combo_terms(combo: JordanCombo, latex: bool) -> str:
         elif latex:
             term = _coeff_latex(mag) + " " + sym
         else:
-            term = _coeff_text(mag) + " " + sym
+            term = str(mag) + " " + sym
         if i == 0:
             parts.append(("-" if c < 0 else "") + term)
         else:

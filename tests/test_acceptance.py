@@ -160,7 +160,7 @@ def test_criterion_8_realjs_identity():
         for q in range(1, 6):
             for k in range(3, 13):
                 exact = realjs_rhs_exact(p, q, k)
-                direct = exp_sum_direct(p, q, k, conjugate_second=False, precision_bits=128)
+                direct = exp_sum_direct(p, q, k, precision_bits=128)
                 with mp.workprec(128):
                     exact_mp = mp.mpf(exact.numerator) / exact.denominator
                     scale = max(abs(direct.real), mp.mpf(1))

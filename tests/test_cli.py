@@ -209,6 +209,29 @@ class TestIdentityCheck:
         assert out == ""
         assert err.startswith(f"identity-check: --tol must be a finite non-negative number, got {tol!r}")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "which,key,extra",
+        [
+            ("realjs", "k", ("--p", "1", "--q", "1")),
+            ("expsum", "k", ("--n", "1")),
+            ("sigma-cancel", "h", ()),
+            ("sigma0", "h", ()),
+        ],
+    )
+    def test_empty_list_is_usage_error(self, capsys, tmp_path, source, which, key, extra):
+        # an empty list is an error, not a request for the default list
+        argv = ("identity-check", "--which", which, *extra)
+        if source == "flag":
+            argv = (*argv, f"--{key}", "")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: ""}))
+            argv = ("--config", str(cfg), *argv)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "identity-check: empty integer list: ''\n"
+
 
 class TestPlumbing:
     def test_byte_identical_stdout(self, capsys):

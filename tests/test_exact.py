@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from meansq.exact import bernoulli, binomial, chebyshev_coeffs, deriv_coeff, factorial
+from meansq.exact import bernoulli, binomial, deriv_coeff, factorial
 
 
 class TestBinomial:
@@ -138,48 +138,6 @@ class TestDerivCoeff:
                         absolute=False,
                     )
                     assert abs(numeric - exact) / abs(exact) < 1e-6, (q, w)
-
-
-class TestChebyshev:
-    def test_t0_special_case(self):
-        c = chebyshev_coeffs("first", 0)
-        assert c.coeffs == (Fraction(1),)
-
-    def test_t2(self):
-        # cos 2t = 2 cos^2 t - 1
-        assert chebyshev_coeffs("first", 2).coeffs == (Fraction(-1), Fraction(0), Fraction(2))
-
-    def test_u1(self):
-        # sin 2t = 2 cos t sin t
-        assert chebyshev_coeffs("second", 1).coeffs == (Fraction(0), Fraction(2))
-
-    def test_parity_invariant(self):
-        for kind in ("first", "second"):
-            for n in range(13):
-                c = chebyshev_coeffs(kind, n)
-                assert c.degree == n
-                assert len(c.coeffs) == n + 1
-                assert c.coeffs[n] != 0
-                for i, coef in enumerate(c.coeffs):
-                    if coef:
-                        assert (n - i) % 2 == 0, (kind, n, i)
-
-    def test_multiple_angle_identities(self):
-        rng = random.Random(917)
-        thetas = [rng.uniform(-math.pi, math.pi) for _ in range(100)]
-        for n in range(13):
-            t = chebyshev_coeffs("first", n)
-            u = chebyshev_coeffs("second", n)
-            for theta in thetas:
-                x = math.cos(theta)
-                assert abs(float(t(x)) - math.cos(n * theta)) < 1e-12
-                assert abs(float(u(x)) * math.sin(theta) - math.sin((n + 1) * theta)) < 1e-12
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            chebyshev_coeffs("third", 1)
-        with pytest.raises(ValueError):
-            chebyshev_coeffs("first", -1)
 
 
 def test_factorial_matches_math():

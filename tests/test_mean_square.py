@@ -187,7 +187,7 @@ class TestRealJs:
     @pytest.mark.parametrize("p,q,k", [(1, 1, 3), (2, 3, 5), (2, 2, 4), (4, 4, 9)])
     def test_against_direct_sum(self, p, q, k):
         exact = realjs_rhs_exact(p, q, k)
-        direct = exp_sum_direct(p, q, k, conjugate_second=False, precision_bits=160)
+        direct = exp_sum_direct(p, q, k, precision_bits=160)
         with mp.workprec(160):
             exact_mp = mp.mpf(exact.numerator) / exact.denominator
             scale = max(abs(direct.real), mp.mpf(1))

@@ -21,7 +21,7 @@ class TestFactorize:
     def test_reconstruction(self):
         for n in range(1, 2000):
             f = factorize(n)
-            assert f.value() == n
+            assert math.prod(p**e for p, e in f.factors) == n
             assert list(f.primes) == sorted(f.primes)
 
     @pytest.mark.parametrize(

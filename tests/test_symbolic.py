@@ -20,7 +20,6 @@ from meansq.symbolic import (
     jc_add,
     jc_scale,
     kl_add,
-    kl_scale,
     kl_shift,
     parse_closed_form,
     parse_jordan_combo,
@@ -46,9 +45,6 @@ class TestAlgebra:
         a = {-2: {2: F(1, 4)}}
         b = {-2: {2: F(-1, 4)}, 0: {1: F(1)}}
         assert kl_add(a, b) == {0: {1: F(1)}}
-
-    def test_kl_scale_zero(self):
-        assert kl_scale({-2: {2: F(1)}}, 0) == {}
 
     def test_inputs_not_mutated(self):
         a = {2: F(1, 3)}
