@@ -68,13 +68,18 @@ def _emit_pedantic(args) -> None:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """'5', '3..7', or '3,4,9' -> list of ints."""
+    """'5', '3..7', or '3,4,9' -> list of ints; a reversed or malformed range is a ValueError."""
     out: list[int] = []
     for piece in text.split(","):
         piece = piece.strip()
         if ".." in piece:
-            lo, hi = piece.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            ends = piece.split("..")
+            if len(ends) != 2:
+                raise ValueError(f"malformed range: {piece!r}")
+            lo, hi = int(ends[0]), int(ends[1])
+            if lo > hi:
+                raise ValueError(f"reversed range: {piece!r}")
+            out.extend(range(lo, hi + 1))
         elif piece:
             out.append(int(piece))
     if not out:

@@ -24,12 +24,19 @@ r = 1), so each of the phi(k) values is evaluated once.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import itertools
+import marshal
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import MPZ
 
 from .exact import binomial, deriv_coeff
 from .multiplicative import coprime_residues, euler_phi, factorize
@@ -224,6 +231,127 @@ def l_value_numeric(r: int, chi: DirichletCharacter, precision_bits: int = 128):
     return total
 
 
+# Helper processes for _hurwitz_values, forked on first use and kept for the
+# life of the process: (pid, request writer, reply reader) each.
+_helpers: list = []
+
+
+def _hurwitz_share(r: int, k: int, share: list[int], prec: int) -> list:
+    """Z_a = psi(a/k) at r = 1, else zeta(r, a/k), for each a in ``share``."""
+    with mp.workprec(prec):
+        values = []
+        for a in share:
+            x = mp.mpf(a) / k
+            values.append(mp.digamma(x) if r == 1 else mp.zeta(r, x))
+        return values
+
+
+def _serve(requests_fd: int, replies_fd: int) -> None:
+    """A helper's loop: answer requests until EOF on ``requests_fd``.
+
+    Fds 0 and 1 point at /dev/null first, so that a helper holds none of the
+    caller's stdin or stdout pipes.
+    """
+    devnull = os.open(os.devnull, os.O_RDWR)
+    os.dup2(devnull, 0)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    with open(requests_fd, "rb") as requests, open(replies_fd, "wb") as replies:
+        while True:
+            values = _hurwitz_share(*marshal.load(requests))
+            marshal.dump([(s, int(m), e, bc) for s, m, e, bc in (v._mpf_ for v in values)], replies)
+            replies.flush()
+
+
+def _start_helpers(count: int) -> list:
+    while len(_helpers) < count:
+        requests_r, requests_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (requests_r, requests_w, replies_r, replies_w):
+                os.close(fd)
+            raise
+        if pid == 0:  # the fork hook has already closed the other helpers' pipes
+            try:
+                os.close(requests_w)
+                os.close(replies_r)
+                _serve(requests_r, replies_w)
+            finally:  # on EOF or any error: never return into the caller's code
+                os._exit(0)
+        os.close(requests_r)
+        os.close(replies_w)
+        _helpers.append((pid, open(requests_w, "wb"), open(replies_r, "rb")))
+    return _helpers[:count]
+
+
+def _drop_helpers() -> list[int]:
+    """Close this process's ends of the helpers' pipes and forget them; return their pids."""
+    pids = []
+    while _helpers:
+        pid, requests, replies = _helpers.pop()
+        for pipe in (requests, replies):
+            with contextlib.suppress(OSError):
+                pipe.close()
+        pids.append(pid)
+    return pids
+
+
+def _stop_helpers() -> None:
+    """Kill and reap every helper; the next parallel call forks new ones."""
+    for pid in _drop_helpers():
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child, a helper included, never touches its parent's helpers.
+    os.register_at_fork(after_in_child=_drop_helpers)
+    atexit.register(_stop_helpers)
+
+
+def _hurwitz_values(r: int, k: int, residues: list[int]) -> list:
+    """``_hurwitz_share`` over ``residues`` at the current precision, in order.
+
+    The residues are dealt out as interleaved shares to the caller and up to
+    (schedulable CPUs - 1) helpers, which send each (r, k, share, prec)
+    answer back as exact ``_mpf_`` tuples.  It stays in-process on one CPU,
+    without ``fork`` or ``sched_getaffinity``, or while another thread is
+    alive (forking a threaded process is unsafe).  If anything fails between
+    the requests and the last reply, every helper is killed and reaped
+    before the error is raised or the missing shares are computed here, so
+    no later call can read a stale reply.
+    """
+    prec = mp.prec
+    n = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        n = min(len(os.sched_getaffinity(0)), len(residues))
+    if n < 2:
+        return _hurwitz_share(r, k, residues, prec)
+    shares = [residues[i::n] for i in range(n)]
+    parts: list = [None] * n
+    try:
+        helpers = _start_helpers(n - 1)
+        for (_, requests, _), share in zip(helpers, shares[1:]):
+            marshal.dump((r, k, share, prec), requests)
+            requests.flush()
+        parts[0] = _hurwitz_share(r, k, shares[0], prec)
+        for i, (_, _, replies) in enumerate(helpers, 1):
+            parts[i] = [mp.make_mpf((s, MPZ(m), e, bc)) for s, m, e, bc in marshal.load(replies)]
+    except (OSError, EOFError, ValueError):  # a helper died or could not start
+        _stop_helpers()
+    except BaseException:
+        _stop_helpers()
+        raise
+    values: list = [None] * len(residues)
+    for i, share in enumerate(shares):
+        values[i::n] = parts[i] if parts[i] is not None else _hurwitz_share(r, k, share, prec)
+    return values
+
+
 def mean_square_numeric(r: int, k: int, precision_bits: int = 128):
     """sum over chi mod k with chi(-1) = (-1)^r of |L(r, chi)|^2.
 
@@ -242,6 +370,12 @@ def mean_square_numeric(r: int, k: int, precision_bits: int = 128):
     ``precision_bits`` plus twice the guard bits; the result is rounded to
     ``precision_bits``.  Summation is exact accumulation (fsum) over
     non-negative terms, so residue order cannot affect the result.
+
+    The phi(k) evaluations are split between this process and up to
+    (schedulable CPUs - 1) helper processes, forked on first use and reaped
+    at exit; the values come back exact, so the result is bit for bit the
+    serial one.  It stays serial on one CPU, without ``fork``, or while
+    another thread is alive.
     """
     if k < 3:
         raise ValueError(f"mean_square_numeric: k must be >= 3, got {k}")
@@ -251,10 +385,8 @@ def mean_square_numeric(r: int, k: int, precision_bits: int = 128):
         raise ValueError(f"mean_square_numeric: precision_bits must be >= 53, got {precision_bits}")
     eps = -1 if r % 2 else 1
     with mp.workprec(precision_bits + 2 * _GUARD_BITS):
-        z = {}
-        for a in coprime_residues(k):
-            x = mp.mpf(a) / k
-            z[a] = mp.digamma(x) if r == 1 else mp.zeta(r, x)
+        residues = coprime_residues(k)
+        z = dict(zip(residues, _hurwitz_values(r, k, residues)))
         total = mp.fsum((z[a] + eps * z[k - a]) ** 2 for a in z if 2 * a < k)
         total = total * int(euler_phi(k)) / (2 * mp.mpf(k) ** (2 * r))
     with mp.workprec(precision_bits):

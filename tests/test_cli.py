@@ -233,6 +233,28 @@ class TestIdentityCheck:
         assert err == "identity-check: empty integer list: ''\n"
 
 
+class TestRangeErrors:
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("5..3,7", "reversed range: '5..3'"),
+            ("7, 9..8", "reversed range: '9..8'"),
+            ("3..5..7", "malformed range: '3..5..7'"),
+            ("4,3..5..7", "malformed range: '3..5..7'"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "--r", "3"), ("identity-check", "--which", "expsum", "--n", "1")],
+        ids=["verify", "identity-check"],
+    )
+    def test_bad_range_is_usage_error(self, capsys, argv, text, message):
+        # the range is never dropped while the rest of the list runs
+        code, out, err = run(capsys, *argv, "--k", text)
+        assert (code, out) == (2, "")
+        assert err == f"{argv[0]}: {message}\n"
+
+
 class TestPlumbing:
     def test_byte_identical_stdout(self, capsys):
         _, first, _ = run(capsys, "closed-form", "--r", "7", "--format", "json")

@@ -1,12 +1,20 @@
 """Tests for the character enumeration and numeric L-value oracle."""
 
+import contextlib
 import itertools
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
+from meansq import oracle
 from meansq.mean_square import mean_square_even, mean_square_odd
 from meansq.multiplicative import coprime_residues, euler_phi
 from meansq.oracle import (
@@ -274,6 +282,133 @@ class TestMeanSquareNumeric:
             symbolic = closed_form_value(r, k, 160)
             with mp.workprec(160):
                 assert abs(numeric - symbolic) / symbolic < mp.mpf(2) ** -120, (r, k)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs the oracle may schedule on; no helper outlives the test."""
+    oracle._stop_helpers()
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    yield use
+    oracle._stop_helpers()
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    def hung(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def serial_value(cpus, r, k):
+    cpus(1)
+    return mean_square_numeric(r, k)._mpf_
+
+
+class TestHelperProcesses:
+    def test_split_is_bit_identical(self, cpus):
+        # three helpers even on a runner with fewer CPUs
+        cases = [(r, k) for r in (1, 3, 4, 7) for k in (*range(3, 17), 30, 60)]
+        cpus(4)
+        split = [mean_square_numeric(r, k)._mpf_ for r, k in cases]
+        assert len(oracle._helpers) == 3
+        cpus(1)
+        assert [mean_square_numeric(r, k)._mpf_ for r, k in cases] == split
+
+    def test_exit_hook_reaps_every_helper(self, cpus):
+        cpus(4)
+        mean_square_numeric(3, 30)
+        pids = [pid for pid, _, _ in oracle._helpers]
+        assert len(pids) == 3
+        oracle._stop_helpers()
+        assert oracle._helpers == []
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, 0)
+
+    def test_error_in_own_share_leaves_no_stale_reply(self, cpus, monkeypatch):
+        want = serial_value(cpus, 4, 31)
+        cpus(2)
+        mean_square_numeric(3, 30)  # the helper is forked with the real share function
+
+        def fail(*args):
+            raise RuntimeError("own share")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_hurwitz_share", fail)
+            with pytest.raises(RuntimeError, match="own share"):
+                mean_square_numeric(3, 30)
+        with deadline(60):
+            assert mean_square_numeric(4, 31)._mpf_ == want
+
+    def test_killed_helper_is_replaced(self, cpus):
+        want = serial_value(cpus, 5, 31)
+        cpus(3)
+        mean_square_numeric(3, 30)
+        os.kill(oracle._helpers[0][0], signal.SIGKILL)
+        with deadline(60):
+            assert mean_square_numeric(5, 31)._mpf_ == want
+            assert mean_square_numeric(5, 31)._mpf_ == want
+
+    def test_failed_fork_falls_back_in_process(self, cpus, monkeypatch):
+        want = serial_value(cpus, 3, 30)
+        cpus(3)
+
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        assert mean_square_numeric(3, 30)._mpf_ == want
+        assert oracle._helpers == []
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_no_helper_while_another_thread_runs(self, cpus):
+        want = serial_value(cpus, 3, 30)
+        cpus(4)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert mean_square_numeric(3, 30)._mpf_ == want
+            assert oracle._helpers == []
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+    def test_cli_process_leaves_no_helper(self):
+        # piped stdout and stderr, three helpers whatever the runner's CPU
+        # count; the CLI leads a new process group, so a helper that outlived
+        # it would still be found in that group
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2, 3}; "
+            "from meansq.cli import main; sys.exit(main(['verify', '--r', '3', '--k', '30']))"
+        )
+        with subprocess.Popen(
+            [sys.executable, "-c", code],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True,
+        ) as proc:
+            try:
+                out, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert (proc.returncode, err) == (0, b"")
+        assert b'"failed": 0' in out
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
 
 class TestExponentialSums:
