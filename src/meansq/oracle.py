@@ -30,8 +30,10 @@ import itertools
 import marshal
 import math
 import os
+import select
 import signal
 import threading
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -231,9 +233,55 @@ def l_value_numeric(r: int, chi: DirichletCharacter, precision_bits: int = 128):
     return total
 
 
+class _Helper:
+    """A helper's pid, this process's ends of its two pipes, its CPU and its backlog.
+
+    ``cpu`` is the one CPU it is pinned to (None until pinned);
+    ``unanswered`` counts every request sent and not yet answered, from
+    earlier calls too; ``held`` lists the residue indices of the current
+    call that it holds, oldest first.
+    """
+
+    def __init__(self, pid: int, requests: int, replies: int) -> None:
+        self.pid, self.requests, self.replies = pid, requests, replies
+        self.cpu: int | None = None
+        self.unanswered = 0
+        self.held: list[int] = []
+
+
 # Helper processes for _hurwitz_values, forked on first use and kept for the
-# life of the process: (pid, request writer, reply reader) each.
-_helpers: list = []
+# life of the process.
+_helpers: list[_Helper] = []
+_calls = itertools.count()
+_WINDOW = 2  # requests a helper may hold unanswered: one it computes, one queued
+# Calls with less work than this many zeta values (a digamma value costs
+# about a tenth of one) stay in-process.  A helper's first answer waits for
+# its CPU to wake, which on a shared host takes from microseconds to
+# milliseconds; below about 10 ms of work that wait is as large as the gain,
+# and the call's time would follow the host's load instead of the work.
+_SPLIT_MIN = 6
+
+
+def _send(fd: int, obj) -> None:
+    data = marshal.dumps(obj)
+    data = len(data).to_bytes(4, "little") + data
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _recv(fd: int):
+    """One frame written by ``_send``; EOFError once the writer is gone."""
+
+    def read(n: int) -> bytes:
+        data = b""
+        while len(data) < n:
+            chunk = os.read(fd, n - len(data))
+            if not chunk:
+                raise EOFError("helper pipe closed")
+            data += chunk
+        return data
+
+    return marshal.loads(read(int.from_bytes(read(4), "little")))
 
 
 def _hurwitz_share(r: int, k: int, share: list[int], prec: int) -> list:
@@ -247,7 +295,7 @@ def _hurwitz_share(r: int, k: int, share: list[int], prec: int) -> list:
 
 
 def _serve(requests_fd: int, replies_fd: int) -> None:
-    """A helper's loop: answer requests until EOF on ``requests_fd``.
+    """A helper's loop: answer (call, index, r, k, a, prec) requests until EOF.
 
     Fds 0 and 1 point at /dev/null first, so that a helper holds none of the
     caller's stdin or stdout pipes.
@@ -256,14 +304,14 @@ def _serve(requests_fd: int, replies_fd: int) -> None:
     os.dup2(devnull, 0)
     os.dup2(devnull, 1)
     os.close(devnull)
-    with open(requests_fd, "rb") as requests, open(replies_fd, "wb") as replies:
-        while True:
-            values = _hurwitz_share(*marshal.load(requests))
-            marshal.dump([(s, int(m), e, bc) for s, m, e, bc in (v._mpf_ for v in values)], replies)
-            replies.flush()
+    while True:
+        call, i, r, k, a, prec = _recv(requests_fd)
+        (value,) = _hurwitz_share(r, k, [a], prec)
+        s, m, e, bc = value._mpf_
+        _send(replies_fd, (call, i, (s, int(m), e, bc)))
 
 
-def _start_helpers(count: int) -> list:
+def _start_helpers(count: int) -> list[_Helper]:
     while len(_helpers) < count:
         requests_r, requests_w = os.pipe()
         replies_r, replies_w = os.pipe()
@@ -282,7 +330,7 @@ def _start_helpers(count: int) -> list:
                 os._exit(0)
         os.close(requests_r)
         os.close(replies_w)
-        _helpers.append((pid, open(requests_w, "wb"), open(replies_r, "rb")))
+        _helpers.append(_Helper(pid, requests_w, replies_r))
     return _helpers[:count]
 
 
@@ -290,11 +338,11 @@ def _drop_helpers() -> list[int]:
     """Close this process's ends of the helpers' pipes and forget them; return their pids."""
     pids = []
     while _helpers:
-        pid, requests, replies = _helpers.pop()
-        for pipe in (requests, replies):
+        helper = _helpers.pop()
+        for fd in (helper.requests, helper.replies):
             with contextlib.suppress(OSError):
-                pipe.close()
-        pids.append(pid)
+                os.close(fd)
+        pids.append(helper.pid)
     return pids
 
 
@@ -313,42 +361,114 @@ if hasattr(os, "register_at_fork"):
     atexit.register(_stop_helpers)
 
 
+def _collect(helpers: list[_Helper], call: int, values: list, timeout: float) -> bool:
+    """Read every reply ready within ``timeout`` s; True if there was one.
+
+    Replies to an earlier call, or for a value this process took back, are
+    dropped: ``held`` no longer lists them.
+    """
+    waiting = [h for h in helpers if h.unanswered]
+    ready = select.select([h.replies for h in waiting], [], [], timeout)[0] if waiting else []
+    for h in waiting:
+        if h.replies in ready:
+            reply_call, i, (s, m, e, bc) = _recv(h.replies)
+            h.unanswered -= 1
+            if reply_call == call and i in h.held:
+                h.held.remove(i)
+                values[i] = mp.make_mpf((s, MPZ(m), e, bc))
+    return bool(ready)
+
+
 def _hurwitz_values(r: int, k: int, residues: list[int]) -> list:
     """``_hurwitz_share`` over ``residues`` at the current precision, in order.
 
-    The residues are dealt out as interleaved shares to the caller and up to
-    (schedulable CPUs - 1) helpers, which send each (r, k, share, prec)
-    answer back as exact ``_mpf_`` tuples.  It stays in-process on one CPU,
-    without ``fork`` or ``sched_getaffinity``, or while another thread is
-    alive (forking a threaded process is unsafe).  If anything fails between
-    the requests and the last reply, every helper is killed and reaped
-    before the error is raised or the missing shares are computed here, so
-    no later call can read a stale reply.
+    The values are dealt out one at a time: this process takes them from the
+    back, pinned for the call to the first CPU it may use, and up to
+    (schedulable CPUs - 1) helpers, each pinned to one of the others, are
+    kept holding two each from the front and answer with exact ``_mpf_``
+    tuples.  Once none is left to deal, this process takes back a value a
+    helper has queued but not started, or one it is late with (no reply
+    within the time this process took for its last value), and drops the
+    helper's answer when it comes.
+    So a helper that is slow, descheduled or still busy with an earlier
+    call's work delays a call by at most about one value.
+
+    It stays in-process for less work than ``_SPLIT_MIN`` zeta values, on
+    one CPU, without ``fork`` or ``sched_getaffinity``, or while another
+    thread is alive (forking a threaded process is unsafe).  If anything
+    fails between the first request and the last reply, every helper is
+    killed and reaped before the error is raised or the missing values are
+    computed here.
     """
     prec = mp.prec
-    n = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        n = min(len(os.sched_getaffinity(0)), len(residues))
-    if n < 2:
+    allowed: set[int] = set()
+    work = len(residues) if r > 1 else len(residues) // 10
+    if (
+        work >= _SPLIT_MIN
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and threading.active_count() == 1
+    ):
+        allowed = os.sched_getaffinity(0)
+    cpus = sorted(allowed)[: len(residues)]
+    if len(cpus) < 2:
         return _hurwitz_share(r, k, residues, prec)
-    shares = [residues[i::n] for i in range(n)]
-    parts: list = [None] * n
     try:
-        helpers = _start_helpers(n - 1)
-        for (_, requests, _), share in zip(helpers, shares[1:]):
-            marshal.dump((r, k, share, prec), requests)
-            requests.flush()
-        parts[0] = _hurwitz_share(r, k, shares[0], prec)
-        for i, (_, _, replies) in enumerate(helpers, 1):
-            parts[i] = [mp.make_mpf((s, MPZ(m), e, bc)) for s, m, e, bc in marshal.load(replies)]
-    except (OSError, EOFError, ValueError):  # a helper died or could not start
+        helpers = _start_helpers(len(cpus) - 1)
+    except OSError:  # could not fork
+        _stop_helpers()
+        return _hurwitz_share(r, k, residues, prec)
+    # Left to itself the scheduler runs a helper woken through its pipe on
+    # the caller's CPU, where the two take turns: a split call then takes
+    # as long as the serial loop or longer.  So this process keeps cpus[0]
+    # for the call and each helper keeps a CPU of its own.
+    for h, cpu in zip(helpers, cpus[1:]):
+        if h.cpu != cpu:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(h.pid, {cpu})
+                h.cpu = cpu
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, {cpus[0]})
+    call = next(_calls)
+    values: list = [None] * len(residues)
+    front, back = 0, len(residues)
+    took = 0.0  # seconds this process took for its last value
+    try:
+        while True:
+            mine = None
+            if front < back:
+                back -= 1
+                mine = back
+            for _ in range(_WINDOW):  # top every helper up, one request per pass
+                for h in helpers:
+                    if h.unanswered < _WINDOW and front < back:
+                        _send(h.requests, (call, front, r, k, residues[front], prec))
+                        h.unanswered += 1
+                        h.held.append(front)
+                        front += 1
+            if mine is None:
+                holding = [h for h in helpers if h.held]
+                if not holding:
+                    break
+                late = max(holding, key=lambda h: len(h.held))
+                if len(late.held) == 1 and _collect(helpers, call, values, took):
+                    continue
+                mine = late.held.pop()
+            start = time.perf_counter()
+            (values[mine],) = _hurwitz_share(r, k, [residues[mine]], prec)
+            took = time.perf_counter() - start
+            _collect(helpers, call, values, 0)
+    except (EOFError, BrokenPipeError):  # a helper died
         _stop_helpers()
     except BaseException:
         _stop_helpers()
         raise
-    values: list = [None] * len(residues)
-    for i, share in enumerate(shares):
-        values[i::n] = parts[i] if parts[i] is not None else _hurwitz_share(r, k, share, prec)
+    finally:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, allowed)
+    for i, value in enumerate(values):
+        if value is None:
+            (values[i],) = _hurwitz_share(r, k, [residues[i]], prec)
     return values
 
 
@@ -371,11 +491,14 @@ def mean_square_numeric(r: int, k: int, precision_bits: int = 128):
     ``precision_bits``.  Summation is exact accumulation (fsum) over
     non-negative terms, so residue order cannot affect the result.
 
-    The phi(k) evaluations are split between this process and up to
-    (schedulable CPUs - 1) helper processes, forked on first use and reaped
-    at exit; the values come back exact, so the result is bit for bit the
-    serial one.  It stays serial on one CPU, without ``fork``, or while
-    another thread is alive.
+    The phi(k) evaluations are shared, one value at a time, between this
+    process and up to (schedulable CPUs - 1) helper processes, forked on
+    first use, each pinned to a CPU of its own, and reaped at exit; this
+    process is pinned to another for the call and its CPU set restored
+    afterwards.  The values come back exact, so the result is bit for bit
+    the serial one.  It stays serial for fewer than 6 zeta values (60
+    digamma values), on one CPU, without ``fork``, or while another thread
+    is alive.
     """
     if k < 3:
         raise ValueError(f"mean_square_numeric: k must be >= 3, got {k}")

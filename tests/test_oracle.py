@@ -288,12 +288,14 @@ class TestMeanSquareNumeric:
 def cpus(monkeypatch):
     """Sets how many CPUs the oracle may schedule on; no helper outlives the test."""
     oracle._stop_helpers()
+    allowed = os.sched_getaffinity(0)
 
     def use(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     yield use
     oracle._stop_helpers()
+    os.sched_setaffinity(0, allowed)  # a split call restores the CPUs it was told of
 
 
 @contextlib.contextmanager
@@ -317,18 +319,52 @@ def serial_value(cpus, r, k):
 
 class TestHelperProcesses:
     def test_split_is_bit_identical(self, cpus):
-        # three helpers even on a runner with fewer CPUs
-        cases = [(r, k) for r in (1, 3, 4, 7) for k in (*range(3, 17), 30, 60)]
+        # three helpers even on a runner with fewer CPUs; r = 1 splits from
+        # k = 61 on (60 digamma values)
+        cases = [(r, k) for r in (1, 3, 4, 7) for k in (*range(3, 17), 30, 60, 61)]
         cpus(4)
         split = [mean_square_numeric(r, k)._mpf_ for r, k in cases]
         assert len(oracle._helpers) == 3
         cpus(1)
         assert [mean_square_numeric(r, k)._mpf_ for r, k in cases] == split
 
+    def test_small_call_stays_in_process(self, cpus):
+        cpus(4)
+        for r, k in ((3, 5), (7, 12), (1, 60)):  # 4 and 4 zeta values, 16 digamma values
+            mean_square_numeric(r, k)
+        assert oracle._helpers == []
+        mean_square_numeric(3, 7)  # 6 zeta values
+        assert len(oracle._helpers) == 3
+
+    def test_caller_and_helper_keep_separate_cpus(self, cpus, monkeypatch):
+        allowed = os.sched_getaffinity(0)
+        seen = []
+        share = oracle._hurwitz_share
+
+        def watch(*args):
+            seen.append(frozenset(os.sched_getaffinity(0)))
+            return share(*args)
+
+        monkeypatch.setattr(oracle, "_hurwitz_share", watch)
+        mean_square_numeric(3, 30)
+        assert os.sched_getaffinity(0) == allowed
+        if len(allowed) > 1:
+            first, second = sorted(allowed)[:2]
+            assert set(seen) == {frozenset({first})}
+            assert os.sched_getaffinity(oracle._helpers[0].pid) == {second}
+
+        def fail(*args):
+            raise RuntimeError("own share")
+
+        monkeypatch.setattr(oracle, "_hurwitz_share", fail)
+        with pytest.raises(RuntimeError, match="own share"):
+            mean_square_numeric(3, 30)
+        assert os.sched_getaffinity(0) == allowed
+
     def test_exit_hook_reaps_every_helper(self, cpus):
         cpus(4)
         mean_square_numeric(3, 30)
-        pids = [pid for pid, _, _ in oracle._helpers]
+        pids = [helper.pid for helper in oracle._helpers]
         assert len(pids) == 3
         oracle._stop_helpers()
         assert oracle._helpers == []
@@ -355,10 +391,30 @@ class TestHelperProcesses:
         want = serial_value(cpus, 5, 31)
         cpus(3)
         mean_square_numeric(3, 30)
-        os.kill(oracle._helpers[0][0], signal.SIGKILL)
+        os.kill(oracle._helpers[0].pid, signal.SIGKILL)
         with deadline(60):
             assert mean_square_numeric(5, 31)._mpf_ == want
             assert mean_square_numeric(5, 31)._mpf_ == want
+
+    def test_stopped_helper_delays_no_call(self, cpus):
+        # a helper that never answers costs each call about one value, and
+        # the answers it sends once resumed are dropped, not misread
+        want = {(r, k): serial_value(cpus, r, k) for r, k in ((3, 31), (4, 30), (5, 31))}
+        cpus(2)
+        mean_square_numeric(3, 30)
+        (helper,) = oracle._helpers
+        os.kill(helper.pid, signal.SIGSTOP)
+        try:
+            with deadline(60):
+                for _ in range(4):
+                    assert mean_square_numeric(3, 31)._mpf_ == want[3, 31]
+            assert helper.unanswered == oracle._WINDOW
+        finally:
+            os.kill(helper.pid, signal.SIGCONT)
+        with deadline(60):
+            assert mean_square_numeric(4, 30)._mpf_ == want[4, 30]
+            assert mean_square_numeric(5, 31)._mpf_ == want[5, 31]
+        assert oracle._helpers == [helper]
 
     def test_failed_fork_falls_back_in_process(self, cpus, monkeypatch):
         want = serial_value(cpus, 3, 30)
