@@ -33,7 +33,6 @@ import os
 import select
 import signal
 import threading
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -221,11 +220,11 @@ def l_value_numeric(r: int, chi: DirichletCharacter, precision_bits: int = 128):
     if r == 1 and not chi.is_odd:
         raise ValueError("l_value_numeric: r = 1 needs an odd character (the series only converges conditionally, and only the digamma route applies)")
     k = chi.group.modulus
+    residues = coprime_residues(k)
+    terms = _hurwitz_share(r, k, residues, precision_bits + _GUARD_BITS)
     with mp.workprec(precision_bits + _GUARD_BITS):
         total = mp.mpc(0)
-        for a in coprime_residues(k):
-            x = mp.mpf(a) / k
-            term = mp.digamma(x) if r == 1 else mp.zeta(r, x)
+        for a, term in zip(residues, terms):
             total += chi.value(a) * term
         total = -total / k if r == 1 else total / mp.mpf(k) ** r
     with mp.workprec(precision_bits):
@@ -236,30 +235,20 @@ def l_value_numeric(r: int, chi: DirichletCharacter, precision_bits: int = 128):
 class _Helper:
     """A helper's pid, this process's ends of its two pipes, its CPU and its backlog.
 
-    ``cpu`` is the one CPU it is pinned to (None until pinned);
-    ``unanswered`` counts every request sent and not yet answered, from
-    earlier calls too; ``held`` lists the residue indices of the current
-    call that it holds, oldest first.
+    ``cpu`` is the one CPU it is pinned to (None until pinned); ``owed``
+    counts the calls it was given a share in and has not yet closed.
     """
 
     def __init__(self, pid: int, requests: int, replies: int) -> None:
         self.pid, self.requests, self.replies = pid, requests, replies
         self.cpu: int | None = None
-        self.unanswered = 0
-        self.held: list[int] = []
+        self.owed = 0
 
 
 # Helper processes for _hurwitz_values, forked on first use and kept for the
 # life of the process.
 _helpers: list[_Helper] = []
 _calls = itertools.count()
-_WINDOW = 2  # requests a helper may hold unanswered: one it computes, one queued
-# Calls with less work than this many zeta values (a digamma value costs
-# about a tenth of one) stay in-process.  A helper's first answer waits for
-# its CPU to wake, which on a shared host takes from microseconds to
-# milliseconds; below about 10 ms of work that wait is as large as the gain,
-# and the call's time would follow the host's load instead of the work.
-_SPLIT_MIN = 6
 
 
 def _send(fd: int, obj) -> None:
@@ -295,8 +284,14 @@ def _hurwitz_share(r: int, k: int, share: list[int], prec: int) -> list:
 
 
 def _serve(requests_fd: int, replies_fd: int) -> None:
-    """A helper's loop: answer (call, index, r, k, a, prec) requests until EOF.
+    """A helper's loop: one (call, r, k, prec, first, step) request per call.
 
+    Its share is every step-th index of ``coprime_residues(k)`` from
+    ``first``.  It answers those values in order as (call, index, _mpf_
+    tuple) until the caller's end-of-call frame, None, is waiting, then
+    reads that frame and closes the call with (call, -1, None).  A request
+    names its share instead of listing it, so that it always fits in the
+    pipe: a long list would block the caller's write to a stopped helper.
     Fds 0 and 1 point at /dev/null first, so that a helper holds none of the
     caller's stdin or stdout pipes.
     """
@@ -305,10 +300,16 @@ def _serve(requests_fd: int, replies_fd: int) -> None:
     os.dup2(devnull, 1)
     os.close(devnull)
     while True:
-        call, i, r, k, a, prec = _recv(requests_fd)
-        (value,) = _hurwitz_share(r, k, [a], prec)
-        s, m, e, bc = value._mpf_
-        _send(replies_fd, (call, i, (s, int(m), e, bc)))
+        call, r, k, prec, first, step = _recv(requests_fd)
+        residues = coprime_residues(k)
+        for i in range(first, len(residues), step):
+            if select.select([requests_fd], [], [], 0)[0]:
+                break
+            (value,) = _hurwitz_share(r, k, [residues[i]], prec)
+            s, m, e, bc = value._mpf_
+            _send(replies_fd, (call, i, (s, int(m), e, bc)))
+        _recv(requests_fd)  # the end-of-call frame
+        _send(replies_fd, (call, -1, None))
 
 
 def _start_helpers(count: int) -> list[_Helper]:
@@ -361,54 +362,43 @@ if hasattr(os, "register_at_fork"):
     atexit.register(_stop_helpers)
 
 
-def _collect(helpers: list[_Helper], call: int, values: list, timeout: float) -> bool:
-    """Read every reply ready within ``timeout`` s; True if there was one.
-
-    Replies to an earlier call, or for a value this process took back, are
-    dropped: ``held`` no longer lists them.
-    """
-    waiting = [h for h in helpers if h.unanswered]
-    ready = select.select([h.replies for h in waiting], [], [], timeout)[0] if waiting else []
-    for h in waiting:
-        if h.replies in ready:
-            reply_call, i, (s, m, e, bc) = _recv(h.replies)
-            h.unanswered -= 1
-            if reply_call == call and i in h.held:
-                h.held.remove(i)
+def _collect(helpers: list[_Helper], call: int, values: list) -> None:
+    """Read every reply that is ready now; values for earlier calls are dropped."""
+    by_fd = {h.replies: h for h in helpers}
+    while ready := select.select(list(by_fd), [], [], 0)[0]:
+        for fd in ready:
+            reply_call, i, value = _recv(fd)
+            if value is None:
+                by_fd[fd].owed -= 1
+            elif reply_call == call:
+                s, m, e, bc = value
                 values[i] = mp.make_mpf((s, MPZ(m), e, bc))
-    return bool(ready)
 
 
-def _hurwitz_values(r: int, k: int, residues: list[int]) -> list:
-    """``_hurwitz_share`` over ``residues`` at the current precision, in order.
+def _hurwitz_values(r: int, k: int) -> list:
+    """``_hurwitz_share`` over ``coprime_residues(k)`` at the current precision, in order.
 
-    The values are dealt out one at a time: this process takes them from the
-    back, pinned for the call to the first CPU it may use, and up to
-    (schedulable CPUs - 1) helpers, each pinned to one of the others, are
-    kept holding two each from the front and answer with exact ``_mpf_``
-    tuples.  Once none is left to deal, this process takes back a value a
-    helper has queued but not started, or one it is late with (no reply
-    within the time this process took for its last value), and drops the
-    helper's answer when it comes.
-    So a helper that is slow, descheduled or still busy with an earlier
-    call's work delays a call by at most about one value.
+    The work is raced from both ends.  Each of up to (schedulable CPUs - 1)
+    helpers, pinned to one of the other CPUs, gets one request per call: an
+    interleaved share of the residues, which it walks from the front,
+    answering with exact ``_mpf_`` tuples.  This process, pinned for the call
+    to the first CPU it may use, walks the whole list from the back, takes
+    whatever replies are ready before each index and computes the value
+    itself if none has come, so it never waits on a helper.  At the end it
+    tells each helper to stop; replies that come later are dropped.  A
+    helper that has not yet closed two calls, being stopped or stuck, gets
+    no share, which bounds its backlog.
 
-    It stays in-process for less work than ``_SPLIT_MIN`` zeta values, on
-    one CPU, without ``fork`` or ``sched_getaffinity``, or while another
-    thread is alive (forking a threaded process is unsafe).  If anything
-    fails between the first request and the last reply, every helper is
-    killed and reaped before the error is raised or the missing values are
-    computed here.
+    It stays in-process for one residue, on one CPU, without ``fork`` or
+    ``sched_getaffinity``, or while another thread is alive (forking a
+    threaded process is unsafe).  If anything fails between the first
+    request and the last reply, every helper is killed and reaped before the
+    error is raised or the missing values are computed here.
     """
     prec = mp.prec
+    residues = coprime_residues(k)
     allowed: set[int] = set()
-    work = len(residues) if r > 1 else len(residues) // 10
-    if (
-        work >= _SPLIT_MIN
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and threading.active_count() == 1
-    ):
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         allowed = os.sched_getaffinity(0)
     cpus = sorted(allowed)[: len(residues)]
     if len(cpus) < 2:
@@ -431,33 +421,17 @@ def _hurwitz_values(r: int, k: int, residues: list[int]) -> list:
         os.sched_setaffinity(0, {cpus[0]})
     call = next(_calls)
     values: list = [None] * len(residues)
-    front, back = 0, len(residues)
-    took = 0.0  # seconds this process took for its last value
+    sharing = [h for h in helpers if h.owed < 2]
     try:
-        while True:
-            mine = None
-            if front < back:
-                back -= 1
-                mine = back
-            for _ in range(_WINDOW):  # top every helper up, one request per pass
-                for h in helpers:
-                    if h.unanswered < _WINDOW and front < back:
-                        _send(h.requests, (call, front, r, k, residues[front], prec))
-                        h.unanswered += 1
-                        h.held.append(front)
-                        front += 1
-            if mine is None:
-                holding = [h for h in helpers if h.held]
-                if not holding:
-                    break
-                late = max(holding, key=lambda h: len(h.held))
-                if len(late.held) == 1 and _collect(helpers, call, values, took):
-                    continue
-                mine = late.held.pop()
-            start = time.perf_counter()
-            (values[mine],) = _hurwitz_share(r, k, [residues[mine]], prec)
-            took = time.perf_counter() - start
-            _collect(helpers, call, values, 0)
+        for first, h in enumerate(sharing):
+            _send(h.requests, (call, r, k, prec, first, len(sharing)))
+            h.owed += 1
+        for i in reversed(range(len(residues))):
+            _collect(helpers, call, values)
+            if values[i] is None:
+                (values[i],) = _hurwitz_share(r, k, [residues[i]], prec)
+        for h in sharing:
+            _send(h.requests, None)
     except (EOFError, BrokenPipeError):  # a helper died
         _stop_helpers()
     except BaseException:
@@ -491,14 +465,14 @@ def mean_square_numeric(r: int, k: int, precision_bits: int = 128):
     ``precision_bits``.  Summation is exact accumulation (fsum) over
     non-negative terms, so residue order cannot affect the result.
 
-    The phi(k) evaluations are shared, one value at a time, between this
-    process and up to (schedulable CPUs - 1) helper processes, forked on
-    first use, each pinned to a CPU of its own, and reaped at exit; this
-    process is pinned to another for the call and its CPU set restored
-    afterwards.  The values come back exact, so the result is bit for bit
-    the serial one.  It stays serial for fewer than 6 zeta values (60
-    digamma values), on one CPU, without ``fork``, or while another thread
-    is alive.
+    The phi(k) evaluations are raced from both ends: up to (schedulable
+    CPUs - 1) helper processes, forked on first use, each pinned to a CPU of
+    its own and reaped at exit, walk interleaved shares from the front,
+    while this process, pinned to another CPU for the call and its CPU set
+    restored afterwards, walks every residue from the back and computes
+    each value no helper has sent yet.  The values come back exact, so the
+    result is bit for bit the serial one.  It stays serial on one CPU,
+    without ``fork``, or while another thread is alive.
     """
     if k < 3:
         raise ValueError(f"mean_square_numeric: k must be >= 3, got {k}")
@@ -508,8 +482,7 @@ def mean_square_numeric(r: int, k: int, precision_bits: int = 128):
         raise ValueError(f"mean_square_numeric: precision_bits must be >= 53, got {precision_bits}")
     eps = -1 if r % 2 else 1
     with mp.workprec(precision_bits + 2 * _GUARD_BITS):
-        residues = coprime_residues(k)
-        z = dict(zip(residues, _hurwitz_values(r, k, residues)))
+        z = dict(zip(coprime_residues(k), _hurwitz_values(r, k)))
         total = mp.fsum((z[a] + eps * z[k - a]) ** 2 for a in z if 2 * a < k)
         total = total * int(euler_phi(k)) / (2 * mp.mpf(k) ** (2 * r))
     with mp.workprec(precision_bits):

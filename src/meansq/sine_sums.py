@@ -243,6 +243,8 @@ def sin_sum_numeric(n: int, k: int, precision_bits: int = 128):
         raise ValueError(f"sin_sum_numeric: n must be even and >= 0, got {n}")
     if k < 3:
         raise ValueError(f"sin_sum_numeric: k must be >= 3, got {k}")
+    if precision_bits < 53:
+        raise ValueError(f"sin_sum_numeric: precision_bits must be >= 53, got {precision_bits}")
     with mp.workprec(precision_bits + 32):
         total = mp.fsum(mp.sinpi(mp.mpf(m) / k) ** (-n) for m in coprime_residues(k))
     with mp.workprec(precision_bits):

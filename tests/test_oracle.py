@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -319,22 +320,16 @@ def serial_value(cpus, r, k):
 
 class TestHelperProcesses:
     def test_split_is_bit_identical(self, cpus):
-        # three helpers even on a runner with fewer CPUs; r = 1 splits from
-        # k = 61 on (60 digamma values)
-        cases = [(r, k) for r in (1, 3, 4, 7) for k in (*range(3, 17), 30, 60, 61)]
+        # three helpers even on a runner with fewer CPUs; the first case,
+        # (3, 3), has two residues, the fewest that split
+        cases = [(r, k) for r in (3, 1, 4, 7) for k in (*range(3, 17), 30, 60, 61)]
         cpus(4)
-        split = [mean_square_numeric(r, k)._mpf_ for r, k in cases]
+        split = [mean_square_numeric(*cases[0])._mpf_]
+        assert len(oracle._helpers) == 1
+        split += [mean_square_numeric(r, k)._mpf_ for r, k in cases[1:]]
         assert len(oracle._helpers) == 3
         cpus(1)
         assert [mean_square_numeric(r, k)._mpf_ for r, k in cases] == split
-
-    def test_small_call_stays_in_process(self, cpus):
-        cpus(4)
-        for r, k in ((3, 5), (7, 12), (1, 60)):  # 4 and 4 zeta values, 16 digamma values
-            mean_square_numeric(r, k)
-        assert oracle._helpers == []
-        mean_square_numeric(3, 7)  # 6 zeta values
-        assert len(oracle._helpers) == 3
 
     def test_caller_and_helper_keep_separate_cpus(self, cpus, monkeypatch):
         allowed = os.sched_getaffinity(0)
@@ -397,24 +392,47 @@ class TestHelperProcesses:
             assert mean_square_numeric(5, 31)._mpf_ == want
 
     def test_stopped_helper_delays_no_call(self, cpus):
-        # a helper that never answers costs each call about one value, and
-        # the answers it sends once resumed are dropped, not misread
-        want = {(r, k): serial_value(cpus, r, k) for r, k in ((3, 31), (4, 30), (5, 31))}
+        # a helper that never answers delays no call, gets no share once two
+        # calls are unclosed, and the answers it sends once resumed are
+        # dropped, not misread
+        want = {(r, k): serial_value(cpus, r, k) for r, k in ((1, 6007), (3, 31), (4, 30), (5, 31))}
         cpus(2)
         mean_square_numeric(3, 30)
         (helper,) = oracle._helpers
         os.kill(helper.pid, signal.SIGSTOP)
         try:
             with deadline(60):
+                # a share of 6006 values, far more than a pipe holds if listed
+                assert mean_square_numeric(1, 6007)._mpf_ == want[1, 6007]
                 for _ in range(4):
                     assert mean_square_numeric(3, 31)._mpf_ == want[3, 31]
-            assert helper.unanswered == oracle._WINDOW
+            assert helper.owed == 2
         finally:
             os.kill(helper.pid, signal.SIGCONT)
         with deadline(60):
             assert mean_square_numeric(4, 30)._mpf_ == want[4, 30]
             assert mean_square_numeric(5, 31)._mpf_ == want[5, 31]
         assert oracle._helpers == [helper]
+
+    def test_slow_helper_changes_no_value(self, cpus, monkeypatch):
+        # the helper takes about 50 ms per value, far longer than the caller:
+        # the caller computes what has not come and drops what comes late
+        cases = ((3, 30), (4, 31), (1, 61), (5, 31))
+        want = {case: serial_value(cpus, *case) for case in cases}
+        cpus(2)
+        caller = os.getpid()
+        share = oracle._hurwitz_share
+
+        def slow(r, k, residues, prec):
+            if os.getpid() != caller:
+                time.sleep(0.05 * len(residues))
+            return share(r, k, residues, prec)
+
+        monkeypatch.setattr(oracle, "_hurwitz_share", slow)
+        with deadline(60):
+            for case in cases * 2:
+                assert mean_square_numeric(*case)._mpf_ == want[case]
+        assert len(oracle._helpers) == 1
 
     def test_failed_fork_falls_back_in_process(self, cpus, monkeypatch):
         want = serial_value(cpus, 3, 30)

@@ -110,6 +110,9 @@ class TestNumericAgreement:
             sin_sum_numeric(3, 5)
         with pytest.raises(ValueError):
             sin_sum_numeric(2, 2)
+        for bits in (-100, 0, 52):
+            with pytest.raises(ValueError, match="precision_bits must be >= 53"):
+                sin_sum_numeric(2, 5, bits)
 
 
 class TestProperties:
