@@ -12,7 +12,9 @@ Subcommands:
 
 Exit codes are a stable contract: 0 success, 1 verification or internal
 assertion failure, 2 usage error.  Results go to stdout (byte-identical for
-identical invocations); everything else goes to stderr.
+identical invocations); everything else goes to stderr.  A handler reports a
+usage error by raising ``ValueError``; ``main`` alone prints it, once, as
+``<subcommand>: <message>``, and exits 2.
 """
 
 from __future__ import annotations
@@ -122,15 +124,12 @@ def _evaluate_forms(forms: tuple[ClosedForm, ...], k: int, precision_bits: int):
 def _cmd_closed_form(args) -> int:
     r = args.r
     if r is None or r < 1:
-        print("closed-form: --r must be a positive integer", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--r must be a positive integer")
     if r == 2:
-        print(
-            "closed-form: r = 2 is not covered; the even-parity construction "
-            "requires r = 2h with h >= 2 (use r >= 4 even, or any odd r)",
-            file=sys.stderr,
+        raise ValueError(
+            "r = 2 is not covered; the even-parity construction "
+            "requires r = 2h with h >= 2 (use r >= 4 even, or any odd r)"
         )
-        return USAGE_ERROR
     forms = _mean_square_forms(r)
     if args.format == "json":
         payload = [json.loads(render(f, "json")) for f in forms]
@@ -144,12 +143,10 @@ def _cmd_closed_form(args) -> int:
 def _cmd_sin_sum(args) -> int:
     n = args.n
     if n is None or n < 0 or n % 2:
-        print("sin-sum: --n must be an even non-negative integer", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--n must be an even non-negative integer")
     k = args.k
     if k is not None and k < 3:
-        print("sin-sum: --k must be >= 3", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--k must be >= 3")
     combo = sin_sum_exact(n)
     if args.format == "json":
         payload: dict = {"n": n, "combo": json.loads(render(combo, "json"))}
@@ -167,29 +164,17 @@ def _cmd_sin_sum(args) -> int:
 
 def _cmd_verify(args) -> int:
     if not args.r or not args.k:
-        print("verify: --r and --k are required (e.g. --r 5 --k 3..7)", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        r_list = sorted(set(_parse_int_list(str(args.r))))
-        k_list = sorted(set(_parse_int_list(str(args.k))))
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--r and --k are required (e.g. --r 5 --k 3..7)")
+    r_list = sorted(set(_parse_int_list(str(args.r))))
+    k_list = sorted(set(_parse_int_list(str(args.k))))
     if any(r < 1 for r in r_list) or 2 in r_list:
-        print("verify: every r must be >= 1 and r = 2 has no closed form here", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("every r must be >= 1 and r = 2 has no closed form here")
     if any(k < 3 for k in k_list):
-        print("verify: every k must be >= 3", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        tol = _parse_tol(args.tol)
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("every k must be >= 3")
+    tol = _parse_tol(args.tol)
     prec = args.prec
     if prec < 53:
-        print(f"verify: --prec must be >= 53, got {prec}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"--prec must be >= 53, got {prec}")
     cases = []
     failed = 0
     for r in r_list:
@@ -293,19 +278,24 @@ def _check_sigma0(args) -> list[dict]:
     return cases
 
 
-def _cmd_identity_check(args) -> int:
-    try:
-        if args.which == "realjs":
-            cases = _check_realjs(args)
-        elif args.which == "expsum":
-            cases = _check_expsum(args)
-        elif args.which == "sigma-cancel":
-            cases = _check_sigma_cancel(args)
-        else:
-            cases = _check_sigma0(args)
-    except ValueError as exc:
-        print(f"identity-check: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+# Each identity-check suite: its runner and the options it reads.  An
+# explicit flag outside that set is a usage error; --pedantic and --config
+# hold for every suite.
+_SUITES = {
+    "realjs": (_check_realjs, ("p", "q", "k", "tol", "prec")),
+    "expsum": (_check_expsum, ("n", "k", "tol", "prec")),
+    "sigma-cancel": (_check_sigma_cancel, ("h",)),
+    "sigma0": (_check_sigma0, ("h",)),
+}
+
+
+def _cmd_identity_check(args, given: set[str]) -> int:
+    """Run one suite; ``given`` holds the options set on the command line."""
+    run, reads = _SUITES[args.which]
+    stray = sorted(given - set(reads))
+    if stray:
+        raise ValueError(f"--which {args.which} does not read --{stray[0]}")
+    cases = run(args)
     failed = sum(not c["pass"] for c in cases)
     report = {
         "check": args.which,
@@ -350,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--pedantic", action="store_true")
 
     p_id = sub.add_parser("identity-check", help="run one exact/numeric identity suite")
-    p_id.add_argument("--which", choices=("realjs", "expsum", "sigma-cancel", "sigma0"), required=True)
+    p_id.add_argument("--which", choices=tuple(_SUITES), required=True)
     p_id.add_argument("--p", type=int, default=None, help="max first power (realjs)")
     p_id.add_argument("--q", type=int, default=None, help="max second power (realjs)")
     p_id.add_argument("--n", type=int, default=None, help="max power (expsum)")
@@ -434,8 +424,9 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # the options set on the command line, before the config file fills the rest
+    given = {key for key in _DEFAULTS if getattr(args, key, None) is not None}
     try:
         _apply_config(args)
     except (OSError, ValueError) as exc:
@@ -446,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         "closed-form": _cmd_closed_form,
         "sin-sum": _cmd_sin_sum,
         "verify": _cmd_verify,
-        "identity-check": _cmd_identity_check,
+        "identity-check": lambda args: _cmd_identity_check(args, given),
     }
     try:
         return handlers[args.command](args)
@@ -454,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"meansq: internal cancellation failure: {exc}", file=sys.stderr)
         return CHECK_FAILED
     except ValueError as exc:
-        print(f"meansq: {exc}", file=sys.stderr)
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

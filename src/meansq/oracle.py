@@ -417,12 +417,12 @@ def _hurwitz_values(r: int, k: int) -> list:
             with contextlib.suppress(OSError):
                 os.sched_setaffinity(h.pid, {cpu})
                 h.cpu = cpu
-    with contextlib.suppress(OSError):
-        os.sched_setaffinity(0, {cpus[0]})
-    call = next(_calls)
     values: list = [None] * len(residues)
-    sharing = [h for h in helpers if h.owed < 2]
-    try:
+    try:  # pinned inside the try, so that the finally unpins whatever is raised
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, {cpus[0]})
+        call = next(_calls)
+        sharing = [h for h in helpers if h.owed < 2]
         for first, h in enumerate(sharing):
             _send(h.requests, (call, r, k, prec, first, len(sharing)))
             h.owed += 1

@@ -201,6 +201,34 @@ class TestIdentityCheck:
         assert out == ""
         assert err.startswith("identity-check:")
 
+    @pytest.mark.parametrize(
+        "which,argv,stray",
+        [
+            ("sigma-cancel", ("--h", "1", "--k", "3..5", "--tol", "7", "--p", "9"), "k"),
+            ("sigma-cancel", ("--prec", "64"), "prec"),
+            ("sigma0", ("--h", "0..1", "--prec", "10"), "prec"),
+            ("sigma0", ("--n", "2"), "n"),
+            ("realjs", ("--p", "1", "--q", "1", "--k", "3", "--h", "5"), "h"),
+            ("realjs", ("--n", "4"), "n"),
+            ("expsum", ("--n", "1", "--k", "3", "--p", "3"), "p"),
+            ("expsum", ("--q", "2"), "q"),
+            ("expsum", ("--h", ""), "h"),
+        ],
+    )
+    def test_flag_the_suite_does_not_read(self, capsys, which, argv, stray):
+        code, out, err = run(capsys, "identity-check", "--which", which, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"identity-check: --which {which} does not read --{stray}\n"
+
+    def test_config_key_the_suite_does_not_read_stays_unread(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 1, "prec": 64, "tol": "1e-9", "k": "3"}))
+        argv = ("--config", str(cfg), "identity-check", "--which", "sigma0", "--h", "0")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["summary"] == {"total": 1, "passed": 1, "failed": 0}
+        assert run(capsys, *argv, "--prec", "64")[:2] == (2, "")
+
     @pytest.mark.parametrize("which", ["realjs", "expsum"])
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])
     def test_bad_tolerance_is_usage_error(self, capsys, which, tol):

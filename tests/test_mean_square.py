@@ -352,3 +352,15 @@ class TestProperties:
     @given(st.integers(2, 8))
     def test_even_blocks_agree(self, h):
         assert sigma1_prime(h) == sigma2_prime(h), h
+
+
+class TestTopTerm:
+    """The main form's phi(k) J_{2r}(k) / k^(2r) term has coefficient zeta(2r)/2,
+    so scalar times that term's coefficient is zeta(2r)/(2 pi^(2r)), a
+    Bernoulli rational, held by exact equality."""
+
+    @pytest.mark.parametrize("r", [*range(3, 16), 21, 31])
+    def test_top_term_is_half_zeta(self, r):
+        form = mean_square_odd(r) if r % 2 else mean_square_even(r)
+        expected = (-1) ** (r + 1) * bernoulli(2 * r) * F(2) ** (2 * r) / (4 * factorial(2 * r))
+        assert form.scalar * form.body[-2 * r][2 * r] == expected

@@ -356,6 +356,21 @@ class TestHelperProcesses:
             mean_square_numeric(3, 30)
         assert os.sched_getaffinity(0) == allowed
 
+    def test_error_after_the_pin_restores_the_cpus(self, cpus, monkeypatch):
+        # the real CPU set: on two or more CPUs the call pins this process to one
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) < 2:
+            pytest.skip("a call on one CPU stays serial and never pins")
+
+        def interrupted():
+            raise KeyboardInterrupt
+            yield
+
+        monkeypatch.setattr(oracle, "_calls", interrupted())
+        with pytest.raises(KeyboardInterrupt):
+            mean_square_numeric(3, 30)
+        assert os.sched_getaffinity(0) == allowed
+
     def test_exit_hook_reaps_every_helper(self, cpus):
         cpus(4)
         mean_square_numeric(3, 30)
