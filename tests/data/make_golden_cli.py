@@ -8,7 +8,7 @@ fixed list of invocations (``INVOCATIONS``):
   factorization's prime table (k = 30, 99991, 720720, 1009^2, 999983);
 * ``verify --r 1,3..8 --k 3..12``;
 * one passing run of each ``identity-check`` suite, and ``sin-sum`` in the
-  JSON and LaTeX formats;
+  JSON and LaTeX formats and with its default order (no ``--n``);
 * usage errors, whose stdout is empty and whose exit code is 2.
 
 Stderr is not recorded: messages may be reworded, stdout and exit codes may
@@ -57,6 +57,10 @@ USAGE_ERRORS = (
     ("identity-check", "--which", "sigma-cancel", "--h", "0"),
     ("identity-check", "--which", "expsum", "--n", "0"),
     ("identity-check", "--which", "realjs", "--tol", "abc"),
+    ("identity-check", "--which", "realjs", "--prec", "20"),
+    ("identity-check", "--which", "realjs", "--k", "1"),
+    ("identity-check", "--which", "expsum", "--k", "2"),
+    ("identity-check", "--which", "sigma0", "--h", "-1"),
 )
 INVOCATIONS = (
     *(("closed-form", "--r", str(r), "--format", fmt) for r in RANKS for fmt in FORMATS),
@@ -68,6 +72,8 @@ INVOCATIONS = (
     ("identity-check", "--which", "sigma0", "--h", "0..2"),
     ("sin-sum", "--n", "6", "--k", "30", "--format", "json"),
     ("sin-sum", "--n", "6", "--format", "latex"),
+    ("sin-sum",),
+    ("sin-sum", "--format", "json"),
     *USAGE_ERRORS,
 )
 
