@@ -63,12 +63,6 @@ _PEDANTIC_NOTES = (
 )
 
 
-def _emit_pedantic(args) -> None:
-    if getattr(args, "pedantic", False):
-        for note in _PEDANTIC_NOTES:
-            print(note, file=sys.stderr)
-
-
 def _parse_int_list(text: str) -> list[int]:
     """'5', '3..7', or '3,4,9' -> list of ints; a reversed or malformed range is a ValueError."""
     out: list[int] = []
@@ -106,6 +100,9 @@ def _nstr(x, precision_bits: int) -> str:
 
 
 def _mean_square_forms(r: int) -> tuple[ClosedForm, ...]:
+    if r == 2:
+        raise ValueError("r = 2 is not covered; the even-parity construction requires r = 2h "
+                         "with h >= 2 (use r >= 4 even, or any odd r)")
     if r % 2:
         forms = mean_square_odd(r)
         return forms if isinstance(forms, tuple) else (forms,)
@@ -122,15 +119,7 @@ def _evaluate_forms(forms: tuple[ClosedForm, ...], k: int, precision_bits: int):
 # ---------------------------------------------------------------------------
 
 def _cmd_closed_form(args) -> int:
-    r = args.r
-    if r is None or r < 1:
-        raise ValueError("--r must be a positive integer")
-    if r == 2:
-        raise ValueError(
-            "r = 2 is not covered; the even-parity construction "
-            "requires r = 2h with h >= 2 (use r >= 4 even, or any odd r)"
-        )
-    forms = _mean_square_forms(r)
+    forms = _mean_square_forms(args.r)
     if args.format == "json":
         payload = [json.loads(render(f, "json")) for f in forms]
         print(json.dumps(payload[0] if len(payload) == 1 else payload))
@@ -141,12 +130,9 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_sin_sum(args) -> int:
-    n = args.n
-    if n is None or n < 0 or n % 2:
+    n, k = args.n, args.k
+    if n % 2:
         raise ValueError("--n must be an even non-negative integer")
-    k = args.k
-    if k is not None and k < 3:
-        raise ValueError("--k must be >= 3")
     combo = sin_sum_exact(n)
     if args.format == "json":
         payload: dict = {"n": n, "combo": json.loads(render(combo, "json"))}
@@ -163,24 +149,14 @@ def _cmd_sin_sum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not args.r or not args.k:
-        raise ValueError("--r and --k are required (e.g. --r 5 --k 3..7)")
-    r_list = sorted(set(_parse_int_list(str(args.r))))
-    k_list = sorted(set(_parse_int_list(str(args.k))))
-    if any(r < 1 for r in r_list) or 2 in r_list:
-        raise ValueError("every r must be >= 1 and r = 2 has no closed form here")
-    if any(k < 3 for k in k_list):
-        raise ValueError("every k must be >= 3")
-    tol = _parse_tol(args.tol)
-    prec = args.prec
-    if prec < 53:
-        raise ValueError(f"--prec must be >= 53, got {prec}")
+    tol, prec, k_list = args.tol, args.prec, sorted(set(args.k))
+    # every form is built before the first oracle call, so r = 2 fails fast
+    forms = {r: _mean_square_forms(r) for r in sorted(set(args.r))}
     cases = []
     failed = 0
-    for r in r_list:
-        forms = _mean_square_forms(r)
+    for r, r_forms in forms.items():
         for k in k_list:
-            sym = _evaluate_forms(forms, k, prec)
+            sym = _evaluate_forms(r_forms, k, prec)
             num = mean_square_numeric(r, k, prec)
             with mp.workprec(prec):
                 rel = abs(sym - num) / abs(num)
@@ -207,14 +183,10 @@ def _cmd_verify(args) -> int:
 
 
 def _check_realjs(args) -> list[dict]:
-    if args.p < 1 or args.q < 1:
-        raise ValueError(f"--p and --q must be >= 1, got {args.p} and {args.q}")
-    k_list = _parse_int_list(args.k) if args.k is not None else list(range(3, 11))
-    tol = _parse_tol(args.tol)
     cases = []
     for p in range(1, args.p + 1):
         for q in range(1, args.q + 1):
-            for k in k_list:
+            for k in args.k:
                 exact = realjs_rhs_exact(p, q, k)
                 direct = exp_sum_direct(p, q, k, precision_bits=args.prec)
                 with mp.workprec(args.prec):
@@ -222,19 +194,16 @@ def _check_realjs(args) -> list[dict]:
                     scale = max(abs(direct.real), mp.mpf(1))
                     rel = abs(exact_mp - direct.real) / scale
                 cases.append(
-                    {"p": p, "q": q, "k": k, "rel_error": mp.nstr(rel, 3), "pass": bool(rel <= tol)}
+                    {"p": p, "q": q, "k": k, "rel_error": mp.nstr(rel, 3), "pass": bool(rel <= args.tol)}
                 )
     return cases
 
 
 def _check_expsum(args) -> list[dict]:
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
-    k_list = _parse_int_list(args.k) if args.k is not None else list(range(3, 13))
-    tol = float(_parse_tol(args.tol))
+    tol = float(args.tol)
     cases = []
     for n in range(1, args.n + 1):
-        for k in k_list:
+        for k in args.k:
             for m in coprime_residues(k):
                 ok = power_exp_identity_check(n, m, k, precision_bits=args.prec, tol=tol)
                 cases.append({"n": n, "m": m, "k": k, "pass": ok})
@@ -242,11 +211,8 @@ def _check_expsum(args) -> list[dict]:
 
 
 def _check_sigma_cancel(args) -> list[dict]:
-    h_list = _parse_int_list(args.h) if args.h is not None else [1, 2, 3, 4]
-    if any(h < 1 for h in h_list):
-        raise ValueError(f"every h must be >= 1, got {args.h}")
     cases = []
-    for h in h_list:
+    for h in args.h:
         ok = kl_add(sigma1(h), sigma2(h)) == {}
         cases.append({"h": h, "identity": "odd-sum-cancels", "pass": ok})
         if h >= 2:
@@ -256,9 +222,8 @@ def _check_sigma_cancel(args) -> list[dict]:
 
 
 def _check_sigma0(args) -> list[dict]:
-    h_list = _parse_int_list(args.h) if args.h is not None else [0, 1, 2, 3]
     cases = []
-    for h in h_list:
+    for h in args.h:
         value = sigma0(h)
         expected = {0: {1: Fraction(1, 2)}} if h == 0 else {}
         rendered = render(value.get(0, {}), "text") if value else "0"
@@ -278,24 +243,16 @@ def _check_sigma0(args) -> list[dict]:
     return cases
 
 
-# Each identity-check suite: its runner and the options it reads.  An
-# explicit flag outside that set is a usage error; --pedantic and --config
-# hold for every suite.
 _SUITES = {
-    "realjs": (_check_realjs, ("p", "q", "k", "tol", "prec")),
-    "expsum": (_check_expsum, ("n", "k", "tol", "prec")),
-    "sigma-cancel": (_check_sigma_cancel, ("h",)),
-    "sigma0": (_check_sigma0, ("h",)),
+    "realjs": _check_realjs,
+    "expsum": _check_expsum,
+    "sigma-cancel": _check_sigma_cancel,
+    "sigma0": _check_sigma0,
 }
 
 
-def _cmd_identity_check(args, given: set[str]) -> int:
-    """Run one suite; ``given`` holds the options set on the command line."""
-    run, reads = _SUITES[args.which]
-    stray = sorted(given - set(reads))
-    if stray:
-        raise ValueError(f"--which {args.which} does not read --{stray[0]}")
-    cases = run(args)
+def _cmd_identity_check(args) -> int:
+    cases = _SUITES[args.which](args)
     failed = sum(not c["pass"] for c in cases)
     report = {
         "check": args.which,
@@ -352,94 +309,111 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULTS = {
-    "format": "text",
-    "prec": 128,
-    "tol": "1e-10",
-    "p": 4,
-    "q": 4,
-    "n": 6,
-    "r": None,
-    "k": None,
-    "h": None,
+_REQUIRED = object()
+_PREC = ("int", 128, 53)
+_TOL = ("tol", "1e-10", None)
+_FORMAT = ("format", "text", None)
+
+# The options each subcommand, and each identity-check suite, reads:
+# name -> (kind, default, least value).  A default of _REQUIRED must be set
+# by a flag or the config file; a default of None leaves the option unset.
+# Defaults are written as a flag would give them.  main fills and checks
+# every option from here before any handler runs.
+_OPTIONS = {
+    "closed-form": {"r": ("int", _REQUIRED, 1), "format": _FORMAT},
+    "sin-sum": {"n": ("int", 6, 0), "k": ("int", None, 3), "format": _FORMAT},
+    "verify": {"r": ("list", _REQUIRED, 1), "k": ("list", _REQUIRED, 3), "tol": _TOL, "prec": _PREC},
+    "realjs": {"p": ("int", 4, 1), "q": ("int", 4, 1), "k": ("list", "3..10", 3),
+               "tol": _TOL, "prec": _PREC},
+    "expsum": {"n": ("int", 6, 1), "k": ("list", "3..12", 3), "tol": _TOL, "prec": _PREC},
+    "sigma-cancel": {"h": ("list", "1..4", 1)},
+    "sigma0": {"h": ("list", "0..3", 0)},
 }
 
 
-# Options that take the integer-list syntax ('5', '3..7', '3,4,9'), per subcommand;
-# every other integer option takes a plain int.
-_LIST_OPTIONS = {"verify": ("r", "k"), "identity-check": ("k", "h")}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _config_value(command: str, key: str, value):
-    """A config value as the option holds it; ValueError naming the key otherwise."""
-    is_int = isinstance(value, int) and not isinstance(value, bool)
-    if key == "format":
-        ok, want = value in ("latex", "json", "text"), "one of latex, json, text"
-    elif key == "tol":
-        ok, want = is_int or isinstance(value, (str, float)), "a number or a numeric string"
-    elif key == "pedantic":
-        ok, want = isinstance(value, bool), "true or false"
-    elif key in _LIST_OPTIONS.get(command, ()):
-        ok, want = is_int or isinstance(value, str), "an integer or an integer list such as '3..7'"
-        if is_int:
-            value = str(value)
-    else:
-        ok, want = is_int, "an integer"
-    if not ok:
-        raise ValueError(f"key {key!r} must be {want}, got {json.dumps(value)}")
-    return value
+# Each kind of option: the config values it takes, how to say so, and how a value is parsed.
+_KINDS = {
+    "int": (_is_int, "an integer", int),
+    "list": (lambda v: _is_int(v) or isinstance(v, str), "an integer or an integer list such as '3..7'",
+             lambda v: _parse_int_list(str(v))),
+    "tol": (lambda v: _is_int(v) or isinstance(v, (str, float)), "a number or a numeric string",
+            _parse_tol),
+    "format": (lambda v: v in ("latex", "json", "text"), "one of latex, json, text", str),
+    "bool": (lambda v: isinstance(v, bool), "true or false", bool),
+}
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file, then from built-in defaults.
+def _read_config(path: str, kinds: dict[str, str]) -> dict:
+    """The config file's values for the options in ``kinds``, and ``pedantic``.
 
     The file must hold a JSON object whose keys are option names, each with
-    a value of the type its option takes; anything else raises ValueError.
+    a value of the kind its option takes; anything else raises ValueError.
     """
-    config = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ValueError(f"{args.config}: expected a JSON object, got {type(config).__name__}")
-        unknown = sorted(set(config) - set(_DEFAULTS) - {"pedantic"})
-        if unknown:
-            raise ValueError(f"{args.config}: unknown key(s): {', '.join(unknown)}")
-        try:
-            config = {
-                key: _config_value(args.command, key, value)
-                for key, value in config.items()
-                if hasattr(args, key)
-            }
-        except ValueError as exc:
-            raise ValueError(f"{args.config}: {exc}") from None
-    for key, fallback in _DEFAULTS.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is None:
-            value = config.get(key, fallback)
-            setattr(args, key, value)
-    if getattr(args, "pedantic", False) is False and config.get("pedantic"):
-        args.pedantic = True
+    with open(path, "r", encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(config).__name__}")
+    unknown = sorted(set(config) - {key for table in _OPTIONS.values() for key in table} - {"pedantic"})
+    if unknown:
+        raise ValueError(f"{path}: unknown key(s): {', '.join(unknown)}")
+    kinds = {**kinds, "pedantic": "bool"}
+    config = {key: value for key, value in config.items() if key in kinds}
+    for key, value in config.items():
+        accepts, want, _ = _KINDS[kinds[key]]
+        if not accepts(value):
+            raise ValueError(f"{path}: key {key!r} must be {want}, got {json.dumps(value)}")
+    return config
+
+
+def _resolve_options(args, kinds: dict[str, str], config: dict) -> None:
+    """Set each option the invocation reads from its flag, else the config file, else its default.
+
+    A flag the chosen suite does not read, a missing required option, a
+    malformed value and a value below its least all raise ValueError.
+    """
+    reads = _OPTIONS[args.which if args.command == "identity-check" else args.command]
+    stray = sorted(key for key in kinds.keys() - reads.keys() if getattr(args, key) is not None)
+    if stray:
+        raise ValueError(f"--which {args.which} does not read --{stray[0]}")
+    for key, (kind, default, least) in reads.items():
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, default)
+        if value is _REQUIRED:
+            raise ValueError(f"--{key} is required")
+        if value is not None:
+            value = _KINDS[kind][2](value)
+            below = [v for v in (value if kind == "list" else [value]) if least is not None and v < least]
+            if below:
+                raise ValueError(f"--{key} must be >= {least}, got {below[0]}")
+        setattr(args, key, value)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # the options set on the command line, before the config file fills the rest
-    given = {key for key in _DEFAULTS if getattr(args, key, None) is not None}
+    # the kind of every option the subcommand has a flag for, over all its suites
+    names = _SUITES if args.command == "identity-check" else (args.command,)
+    kinds = {key: kind for name in names for key, (kind, _, _) in _OPTIONS[name].items()}
     try:
-        _apply_config(args)
+        config = _read_config(args.config, kinds) if args.config else {}
     except (OSError, ValueError) as exc:
         print(f"meansq: cannot read config: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    _emit_pedantic(args)
+    if args.pedantic or config.get("pedantic"):
+        for note in _PEDANTIC_NOTES:
+            print(note, file=sys.stderr)
     handlers = {
         "closed-form": _cmd_closed_form,
         "sin-sum": _cmd_sin_sum,
         "verify": _cmd_verify,
-        "identity-check": lambda args: _cmd_identity_check(args, given),
+        "identity-check": _cmd_identity_check,
     }
     try:
+        _resolve_options(args, kinds, config)
         return handlers[args.command](args)
     except UncancelledPowerError as exc:
         print(f"meansq: internal cancellation failure: {exc}", file=sys.stderr)

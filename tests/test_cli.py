@@ -87,6 +87,11 @@ class TestSinSum:
         assert out == ""
         assert "sin-sum: --k must be >= 3" in err
 
+    def test_default_order_is_6(self, capsys):
+        default = run(capsys, "sin-sum")
+        assert default[0] == 0
+        assert default == run(capsys, "sin-sum", "--n", "6")
+
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "sin-sum", "--n", "2", "--k", "4", "--format", "json")
         assert code == 0
@@ -200,6 +205,21 @@ class TestIdentityCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("identity-check:")
+
+    @pytest.mark.parametrize(
+        "which,flag,value,least",
+        [
+            ("realjs", "prec", "20", 53),
+            ("realjs", "k", "1", 3),
+            ("expsum", "k", "2", 3),
+            ("expsum", "prec", "20", 53),
+            ("sigma0", "h", "-1", 0),
+        ],
+    )
+    def test_bound_error_names_the_flag(self, capsys, which, flag, value, least):
+        code, out, err = run(capsys, "identity-check", "--which", which, f"--{flag}", value)
+        assert (code, out) == (2, "")
+        assert err == f"identity-check: --{flag} must be >= {least}, got {value}\n"
 
     @pytest.mark.parametrize(
         "which,argv,stray",
@@ -382,9 +402,11 @@ class TestConfigValueTypes:
             ({"format": "html"}, ("closed-form", "--r", "5"), "format"),
             ({"tol": [1]}, ("verify", "--r", "3", "--k", "5"), "tol"),
             ({"pedantic": "yes"}, ("closed-form", "--r", "3"), "pedantic"),
+            ({"prec": "x"}, ("identity-check", "--which", "sigma0"), "prec"),
         ],
         ids=["int-as-str", "prec-as-str", "int-as-float", "int-as-bool", "sin-k-as-str",
-             "list-as-array", "list-as-null", "format-choice", "tol-as-array", "pedantic-as-str"],
+             "list-as-array", "list-as-null", "format-choice", "tol-as-array", "pedantic-as-str",
+             "key-the-suite-does-not-read"],
     )
     def test_bad_value_is_usage_error(self, capsys, tmp_path, config, argv, key):
         cfg = tmp_path / "meansq.json"
@@ -422,12 +444,14 @@ class TestCancellationFailure:
 
 # Random argv at small sizes (r <= 12, n <= 20, k <= 60).  One family holds
 # only well-formed values, with every required option; the other mixes in
-# values that must be refused and may leave any option out; the last is
-# tokens in any order.  identity-check always gets a single small modulus,
-# so no example runs a default sweep.
+# values that must be refused, may leave any option out, and may add one
+# flag that the identity-check suite does not read; the last is tokens in
+# any order.  Each identity-check suite gets only the flags it reads, and
+# realjs and expsum always a single small modulus, so no example runs a
+# default modulus sweep.
 BAD = st.sampled_from(["abc", "nan", "5..3", "-1", "0", "", "3..", "1,,2", "inf", "1e3"])
 FORMAT_VALUES = st.sampled_from(["json", "latex", "text", "html"])
-WHICH_VALUES = st.sampled_from(["realjs", "expsum", "sigma-cancel", "sigma0"])
+STRAY = st.sampled_from([[], ["--p", "1"], ["--n", "1"], ["--k", "3"], ["--h", "1"], ["--prec", "64"]])
 
 
 def _ints(lo, hi):
@@ -454,6 +478,10 @@ def _commands(well_formed):
             values = st.one_of(values, BAD)
         return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
 
+    def suite(which, *options):
+        return _command("identity-check", st.just(["--which", which]), *options, *([] if well_formed else [STRAY]))
+
+    modulus = _ints(3, 12).map(lambda k: ["--k", k])
     return st.one_of(
         _command("closed-form", required("--r", _ints(1, 12)), optional("--format", FORMAT_VALUES)),
         _command(
@@ -469,15 +497,11 @@ def _commands(well_formed):
             optional("--prec", st.sampled_from(["53", "96"])),
             optional("--tol", st.sampled_from(["1e-10", "1e-300"])),
         ),
-        _command(
-            "identity-check",
-            required("--which", WHICH_VALUES if well_formed else st.one_of(WHICH_VALUES, st.just("bogus"))),
-            optional("--p", _ints(1, 2)),
-            optional("--q", _ints(1, 2)),
-            optional("--n", _ints(1, 2)),
-            _ints(3, 12).map(lambda k: ["--k", k]),
-            optional("--h", _int_lists(0, 5)),
-        ),
+        suite("realjs", optional("--p", _ints(1, 2)), optional("--q", _ints(1, 2)), modulus),
+        suite("expsum", optional("--n", _ints(1, 2)), modulus),
+        suite("sigma-cancel", optional("--h", _int_lists(1, 5))),
+        suite("sigma0", optional("--h", _int_lists(0, 5))),
+        *([] if well_formed else [suite("bogus")]),
     )
 
 
