@@ -64,20 +64,23 @@ _PEDANTIC_NOTES = (
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """'5', '3..7', or '3,4,9' -> list of ints; a reversed or malformed range is a ValueError."""
+    """'5', '3..7', or '3,4,9' -> list of ints; a reversed or malformed piece is a ValueError."""
     out: list[int] = []
     for piece in text.split(","):
         piece = piece.strip()
         if ".." in piece:
-            ends = piece.split("..")
-            if len(ends) != 2:
-                raise ValueError(f"malformed range: {piece!r}")
-            lo, hi = int(ends[0]), int(ends[1])
+            try:
+                lo, hi = map(int, piece.split(".."))
+            except ValueError:
+                raise ValueError(f"malformed range: {piece!r}") from None
             if lo > hi:
                 raise ValueError(f"reversed range: {piece!r}")
             out.extend(range(lo, hi + 1))
         elif piece:
-            out.append(int(piece))
+            try:
+                out.append(int(piece))
+            except ValueError:
+                raise ValueError(f"malformed integer: {piece!r}") from None
     if not out:
         raise ValueError(f"empty integer list: {text!r}")
     return out
@@ -149,13 +152,13 @@ def _cmd_sin_sum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol, prec, k_list = args.tol, args.prec, sorted(set(args.k))
+    tol, prec = args.tol, args.prec
     # every form is built before the first oracle call, so r = 2 fails fast
-    forms = {r: _mean_square_forms(r) for r in sorted(set(args.r))}
+    forms = {r: _mean_square_forms(r) for r in args.r}
     cases = []
     failed = 0
     for r, r_forms in forms.items():
-        for k in k_list:
+        for k in args.k:
             sym = _evaluate_forms(r_forms, k, prec)
             num = mean_square_numeric(r, k, prec)
             with mp.workprec(prec):
@@ -372,8 +375,9 @@ def _read_config(path: str, kinds: dict[str, str]) -> dict:
 def _resolve_options(args, kinds: dict[str, str], config: dict) -> None:
     """Set each option the invocation reads from its flag, else the config file, else its default.
 
-    A flag the chosen suite does not read, a missing required option, a
-    malformed value and a value below its least all raise ValueError.
+    An integer list is set sorted, each value once.  A flag the chosen suite
+    does not read, a missing required option, a malformed value and a value
+    below its least all raise ValueError.
     """
     reads = _OPTIONS[args.which if args.command == "identity-check" else args.command]
     stray = sorted(key for key in kinds.keys() - reads.keys() if getattr(args, key) is not None)
@@ -390,6 +394,8 @@ def _resolve_options(args, kinds: dict[str, str], config: dict) -> None:
             below = [v for v in (value if kind == "list" else [value]) if least is not None and v < least]
             if below:
                 raise ValueError(f"--{key} must be >= {least}, got {below[0]}")
+            if kind == "list":
+                value = sorted(set(value))
         setattr(args, key, value)
 
 

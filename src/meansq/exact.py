@@ -8,7 +8,9 @@ coefficients that express derivatives of 1/(e^w - 1) as powers of
 Bernoulli recurrence runs on integer numerators over one common denominator
 and the derivative coefficients are memoized as integers, so the builders
 downstream can stay in integers over one denominator too
-(``_bernoulli_ints``, ``_deriv_int``).
+(``_bernoulli_ints``, ``_deriv_int``).  The sine-sum induction, the power
+sums and the sigma blocks all expand one Bernoulli-weighted power sum: its
+weights come from ``_bernoulli_weights``, its cells from ``_weighted_cells``.
 
 The tables built here (Bernoulli numbers, derivative coefficients) are
 memoized and never mutated after an entry is published, so they can be
@@ -111,3 +113,42 @@ def _deriv_int(q: int, j: int) -> int:
         row = (0, *_DERIV_ROWS[-1], 0)  # A(q, 0) .. A(q, q+2)
         _DERIV_ROWS.append(tuple(-j * row[j] - (j - 1) * row[j - 1] for j in range(1, len(row))))
     return _DERIV_ROWS[q][j - 1]
+
+
+def _bernoulli_weights(r: int, q_max: int, reflected: bool = False) -> tuple[dict[int, int], int]:
+    """Weight W_e of k^e in sum_{q <= q_max} B_q C(r, q) k^q S(r-q), or its reflected form.
+
+    With S(p) = sum_j C(p, j) k^j sum_alpha A(p-j, alpha) R(alpha) the power
+    sum, the term (q, j) multiplies k^e, e = q + j, by the bracket
+    sum_alpha A(r-e, alpha) R(alpha) of e alone, so the scalars are summed
+    per e.  The reflected form replaces k^q S(r-q) by sum_{a < r-q}
+    (-1)^(r-q-a) C(r-q, a) k^(q+a) S(r-q-a).  The weights are integers over
+    lcm(B_0..B_{q_max} denominators), returned with them; most are exactly
+    zero, which the arithmetic finds and nothing here assumes.
+    """
+    bnums, bden = _bernoulli_ints(q_max)
+    weights: dict[int, int] = {}
+    for q, b in enumerate(bnums):
+        if not b:
+            continue
+        w = b * math.comb(r, q)
+        layers = [(a, (-1) ** (r - q - a) * math.comb(r - q, a) * w) for a in range(r - q)] if reflected else [(0, w)]
+        for a, wa in layers:
+            p = r - q - a
+            for j in range(1, p + 1):
+                weights[q + a + j] = weights.get(q + a + j, 0) + wa * math.comb(p, j)
+    return weights, bden
+
+
+def _weighted_cells(r: int, weights: dict[int, int], shift: int = 0, scale: int = 1) -> dict[tuple[int, int], int]:
+    """Cells {(e + shift, alpha): scale * W_e * A(r-e, alpha)} of the nonzero weights.
+
+    Keyed by (k-exponent, order of R), as ``sine_sums._expand_laurent`` reads them.
+    """
+    cells: dict[tuple[int, int], int] = {}
+    for e, w in weights.items():
+        w *= scale
+        if w:
+            for alpha in range(1, r - e + 2):
+                cells[e + shift, alpha] = w * _deriv_int(r - e, alpha)
+    return cells

@@ -13,11 +13,10 @@ Below the published values everything is a scalar table keyed by
 * ``_power_sum(p)`` is an integer table (binomials times derivative
   coefficients), and the paired product sum of powers p and q is the
   convolution of two such tables;
-* a sigma block is a Bernoulli-weighted double sum of paired product sums,
-  so it is the convolution of two Bernoulli-weighted single sums of
-  power-sum tables.  Each single sum is an integer table over one
-  denominator, the lcm of the Bernoulli denominators, so the convolution
-  multiplies only ``int``s and builds no Jordan combination;
+* a sigma block is the convolution of two Bernoulli-weighted power sums,
+  each the integer cells of its nonzero weights (``exact._bernoulli_weights``)
+  over the lcm of the Bernoulli denominators, so the convolution multiplies
+  only ``int``s and builds no Jordan combination;
 * ``sine_sums._expand_laurent`` turns that table and its denominator into a
   ``KLaurent``, expanding one Jordan combination per k-exponent and forming
   one ``Fraction`` per published coefficient.
@@ -52,7 +51,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .exact import _bernoulli_ints, _deriv_int, bernoulli, factorial
+from .exact import _bernoulli_ints, _bernoulli_weights, _weighted_cells, bernoulli, factorial
 from .sine_sums import _expand_laurent
 from .symbolic import ClosedForm, KLaurent, _frozen, _thawed, evaluate_laurent, kl_shift
 
@@ -100,11 +99,7 @@ def _power_sum(p: int) -> Table:
     with R(n) the reciprocal-power sum from ``sine_sums``; the table maps
     (j, alpha) to the integer C(p,j) A(p-j, alpha).
     """
-    return _frozen({
-        (j, alpha): comb(p, j) * _deriv_int(p - j, alpha)
-        for j in range(1, p + 1)
-        for alpha in range(1, p - j + 2)
-    })
+    return _frozen(_weighted_cells(p, _bernoulli_weights(p, 0)[0]))
 
 
 @cache
@@ -150,33 +145,6 @@ def realjs_rhs_exact(p: int, q: int, k: int) -> Fraction:
 # Sigma blocks: one template for both parities and all three kinds
 # ---------------------------------------------------------------------------
 
-def _bernoulli_sum(r: int, q_max: int, reflected: bool) -> tuple[dict, int]:
-    """sum_{q <= q_max} B_q C(r, q) times k^q S(r-q), or its reflected form.
-
-    S(p) is the power sum.  The reflected form replaces k^q S(r-q) by
-
-        sum_{a=0}^{r-q-1} (-1)^(r-q-a) C(r-q, a) k^(q+a) S(r-q-a).
-
-    The table holds integer numerators over lcm(B_0..B_{q_max} denominators),
-    which is returned with it.
-    """
-    bnums, bden = _bernoulli_ints(q_max)
-    out = {}
-    for q, b in enumerate(bnums):
-        if not b:
-            continue
-        w = b * comb(r, q)
-        if reflected:
-            terms = [(r - q - a, (-1) ** (r - q - a) * comb(r - q, a), q + a) for a in range(r - q)]
-        else:
-            terms = [(r - q, 1, q)]
-        for p, sign, shift in terms:
-            for (j, n), v in _power_sum(p).items():
-                cell = (j + shift, n)
-                out[cell] = out.get(cell, 0) + sign * w * v
-    return out, bden
-
-
 @cache
 def _sigma(kind: str, r: int, q_max: int) -> Mapping:
     """Sigma block of rank r, expanded and frozen.
@@ -186,21 +154,21 @@ def _sigma(kind: str, r: int, q_max: int) -> Mapping:
     convolution, as in ``_exp_product``):
 
     * ``direct``    -- k^(-2r) U * U;
-    * ``reflected`` -- k^(-2r) U * V, V the reflected form of U (see
-                       ``_bernoulli_sum``), which carries the alternating
-                       a-layer;
+    * ``reflected`` -- k^(-2r) U * V, V the reflected form of U, with the
+                       alternating a-layer (``exact._bernoulli_weights``);
     * ``single``    -- -(sum_{q <= q_max} B_q C(r, q)) k^(-r) U.
 
     U and V are integer tables over one Bernoulli denominator, so the
     convolution multiplies only ints; the scalars are collected per
     (k-exponent, order of R) and expanded once at the end.
     """
-    first, bden = _bernoulli_sum(r, q_max, reflected=False)
+    weights, bden = _bernoulli_weights(r, q_max)
     if kind == "single":
         c = -sum(b * comb(r, q) for q, b in enumerate(_bernoulli_ints(q_max)[0]))
-        table = {(e - r, n): c * v for (e, n), v in first.items()}
+        table = _weighted_cells(r, weights, shift=-r, scale=c)
     else:
-        second = first if kind == "direct" else _bernoulli_sum(r, q_max, reflected=True)[0]
+        first = _weighted_cells(r, weights)
+        second = first if kind == "direct" else _weighted_cells(r, _bernoulli_weights(r, q_max, reflected=True)[0])
         table = _convolve(first, second, shift=-2 * r)
     return _frozen(_expand_laurent(table, bden * bden))
 

@@ -20,9 +20,9 @@ Bernoulli/binomial sums never normalize a fraction:
   half = floor(n/2)) for the coprime-sum R(n) of the real part of
   (e^(2*pi*i*m/k) - 1)^(-n), reduced to sine power sums via the explicit
   Chebyshev representations of cos/sin of multiple angles;
-* ``_induction_weights(n)`` sums the Bernoulli/binomial scalars of the step
-  per k-exponent e, since the bracket they multiply depends on e alone; the
-  weights are integers over lcm(B_q denominators) * n!;
+* ``_recursion_laurent(n)`` takes the Bernoulli weights of the step from
+  ``exact._bernoulli_weights``, as the sigma blocks do, and expands them
+  into integer cells over lcm(B_q denominators) * n!;
 * ``_expand_laurent`` collects a {(k-exponent, order of R): numerator}
   table into one integer {sine order: numerator} table per k-exponent,
   reads the sine sums' numerators over their lcm, and divides once per
@@ -51,7 +51,7 @@ from math import comb, factorial, gcd, lcm
 
 from mpmath import mp
 
-from .exact import _bernoulli_ints, _deriv_int, bernoulli
+from .exact import _bernoulli_weights, _weighted_cells, bernoulli
 from .multiplicative import coprime_residues
 from .symbolic import JordanCombo, KLaurent, _frozen, _keep_jordan_plan
 
@@ -173,48 +173,20 @@ def recip_power_real_sum(n: int) -> JordanCombo:
     return _expand_laurent({(0, n): 1}).get(0, {})
 
 
-def _induction_weights(n: int) -> tuple[dict[int, int], int]:
-    """Weight of k^e in the order-n induction step, per exponent e, over one denominator.
-
-    The (q, j) term multiplies k^(q+j-1) by the bracket of p = n - q - j,
-    so the bracket depends on e = q + j - 1 alone (p = n - 1 - e) and the
-    (q, j) scalars are summed per e before any bracket is formed.  They are
-    integer numerators over lcm(B_0..B_n denominators) * n!, which is
-    returned with them.  Every weight with e >= 1 comes out exactly zero
-    (the Bernoulli recurrence); that is the k-power cancellation, and a
-    nonzero one would leave its k-power in the expanded Laurent for ``_sin``
-    to reject.
-    """
-    bnums, bden = _bernoulli_ints(n)
-    pref = (-1) ** (n // 2) * 2**n
-    weights: dict[int, int] = {}
-    for q in range(n + 1):
-        if not bnums[q]:
-            continue
-        wq = pref * comb(n, q) * bnums[q]
-        for j in range(1, n - q + 1):
-            e = q + j - 1
-            weights[e] = weights.get(e, 0) + wq * comb(n - q, j)
-    return weights, bden * factorial(n)
-
-
 def _recursion_laurent(n: int) -> KLaurent:
     """The induction step for order n, before collecting k-powers.
 
-    Exposed (privately) so tests can check that every nonzero k-exponent
-    carries an identically zero coefficient.
+    (-1)^(n/2) 2^n / n! k^(-1) times the Bernoulli-weighted power sum of rank
+    n, the order-n sine sum moved out of every R into one J_n term.  Every
+    weight off k^0 is exactly zero (the Bernoulli recurrence); a nonzero one
+    leaves its k-power for ``_sin`` to reject, which tests check through here.
     """
-    weights, den = _induction_weights(n)
-    table = {
-        (e, alpha): w * _deriv_int(n - 1 - e, alpha)
-        for e, w in weights.items()
-        if w
-        for alpha in range(1, n - e + 1)
-    }
-    # the J_n term (-1)^(n/2+1) 2^n B_n / n!, over the weights' denominator
+    weights, bden = _bernoulli_weights(n, n)
+    table = _weighted_cells(n, weights, shift=-1, scale=(-1) ** (n // 2) * 2**n)
+    # the J_n term (-1)^(n/2+1) 2^n B_n / n!, over the weights' denominator bden * n!
     b = bernoulli(n)
-    top = (-1) ** (n // 2 + 1) * 2**n * b.numerator * (den // factorial(n) // b.denominator)
-    return _expand_laurent(table, den, exclude=n, top=top)
+    top = (-1) ** (n // 2 + 1) * 2**n * b.numerator * (bden // b.denominator)
+    return _expand_laurent(table, bden * factorial(n), exclude=n, top=top)
 
 
 def sin_sum_exact(n: int) -> JordanCombo:

@@ -280,6 +280,15 @@ class TestIdentityCheck:
         assert (code, out) == (2, "")
         assert err == "identity-check: empty integer list: ''\n"
 
+    def test_list_values_run_once_in_order(self, capsys):
+        argv = ("identity-check", "--which", "realjs", "--p", "1", "--q", "1", "--k", "5,5,5")
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert (code, [case["k"] for case in report["cases"]]) == (0, [5])
+        assert report["summary"]["total"] == 1
+        code, out, _ = run(capsys, "identity-check", "--which", "sigma0", "--h", "3,0,3")
+        assert (code, [case["h"] for case in json.loads(out)["cases"]]) == (0, [0, 3, 3])
+
 
 class TestRangeErrors:
     @pytest.mark.parametrize(
@@ -289,6 +298,9 @@ class TestRangeErrors:
             ("7, 9..8", "reversed range: '9..8'"),
             ("3..5..7", "malformed range: '3..5..7'"),
             ("4,3..5..7", "malformed range: '3..5..7'"),
+            ("3..x", "malformed range: '3..x'"),
+            ("3..", "malformed range: '3..'"),
+            ("3,a", "malformed integer: 'a'"),
         ],
     )
     @pytest.mark.parametrize(
@@ -301,6 +313,16 @@ class TestRangeErrors:
         code, out, err = run(capsys, *argv, "--k", text)
         assert (code, out) == (2, "")
         assert err == f"{argv[0]}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text,message", [("3..x", "malformed range: '3..x'"), ("a", "malformed integer: 'a'")]
+    )
+    def test_malformed_config_list_is_usage_error(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": text}))
+        code, out, err = run(capsys, "--config", str(cfg), "verify", "--r", "3")
+        assert (code, out) == (2, "")
+        assert err == f"verify: {message}\n"
 
 
 class TestPlumbing:

@@ -14,9 +14,10 @@ from math import comb
 
 import pytest
 
-from meansq.exact import _bernoulli_ints, _deriv_int, bernoulli, factorial
-from meansq.mean_square import _bernoulli_sum, _power_sum
-from meansq.sine_sums import _induction_weights, _recip_power_real
+from meansq import mean_square, sine_sums
+from meansq.exact import _bernoulli_ints, _bernoulli_weights, _deriv_int, _weighted_cells, bernoulli, factorial
+from meansq.mean_square import _power_sum
+from meansq.sine_sums import _recip_power_real
 
 
 def reference_deriv_coeff(q, j):
@@ -102,9 +103,12 @@ def test_recip_power_real_table(n):
 
 @pytest.mark.parametrize("n", range(2, 61, 2))
 def test_induction_weights(n):
-    weights, den = _induction_weights(n)
+    # the induction scales the Bernoulli weights of rank n by (-1)^(n/2) 2^n / n!
+    # and shifts them to k^(e-1)
+    weights, den = _bernoulli_weights(n, n)
     assert all(type(v) is int for v in weights.values())
-    assert over(weights, den) == nonzero(reference_induction_weights(n))
+    shifted = {e - 1: (-1) ** (n // 2) * 2**n * w for e, w in weights.items()}
+    assert over(shifted, den * factorial(n)) == nonzero(reference_induction_weights(n))
 
 
 @pytest.mark.parametrize("r", [*range(1, 22, 2), *range(4, 21, 2)])
@@ -112,6 +116,33 @@ def test_bernoulli_sum(r):
     # q_max as the mean squares use it: r - 1 for odd r, r - 2 for even r
     q_max = r - 1 if r % 2 else r - 2
     for reflected in (False, True):
-        table, den = _bernoulli_sum(r, q_max, reflected)
+        weights, den = _bernoulli_weights(r, q_max, reflected)
+        table = _weighted_cells(r, weights)
         assert all(type(v) is int for v in table.values())
         assert over(table, den) == nonzero(reference_bernoulli_sum(r, q_max, reflected)), reflected
+
+
+def test_built_tables_hold_no_zero_cell(monkeypatch):
+    # every table fed to the convolution and the Laurent expansion keeps only
+    # the cells of nonzero weights: at r = 61 all but 61 of 1891 would be zero
+    fed = []
+
+    def convolve(a, b, shift=0):
+        fed.extend([a, b])
+        return {}
+
+    def expand(table, *args, **kwargs):
+        fed.append(table)
+        return {}
+
+    monkeypatch.setattr(mean_square, "_convolve", convolve)
+    monkeypatch.setattr(mean_square, "_expand_laurent", expand)
+    monkeypatch.setattr(sine_sums, "_expand_laurent", expand)
+    for r in range(3, 62):
+        fed.append(_power_sum.__wrapped__(r))
+        for kind in ("single", "reflected", "direct"):
+            mean_square._sigma.__wrapped__(kind, r, r - 1 if r % 2 else r - 2)
+        if r % 2 == 0:
+            sine_sums._recursion_laurent(r)
+    assert len(fed) == 59 * 8 + 29  # per r: power sum, 1 + 3 + 3 sigma tables, induction at even r
+    assert all(v for table in fed for v in table.values())

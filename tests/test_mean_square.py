@@ -359,7 +359,7 @@ class TestTopTerm:
     so scalar times that term's coefficient is zeta(2r)/(2 pi^(2r)), a
     Bernoulli rational, held by exact equality."""
 
-    @pytest.mark.parametrize("r", [*range(3, 16), 21, 31])
+    @pytest.mark.parametrize("r", [*range(3, 16), 21, 31, 41, 60, 61])
     def test_top_term_is_half_zeta(self, r):
         form = mean_square_odd(r) if r % 2 else mean_square_even(r)
         expected = (-1) ** (r + 1) * bernoulli(2 * r) * F(2) ** (2 * r) / (4 * factorial(2 * r))
