@@ -10,6 +10,10 @@ Subcommands:
                          report on stdout.
 * ``identity-check``  -- run one of the exact/numeric identity suites.
 
+One table, ``_COMMANDS``, declares each subcommand's handler, help line and
+options, and ``_SUITES`` each identity-check suite's runner and options; the
+parser, the dispatch and the config checks are built from the two.
+
 Exit codes are a stable contract: 0 success, 1 verification or internal
 assertion failure, 2 usage error.  Results go to stdout (byte-identical for
 identical invocations); everything else goes to stderr.  A handler reports a
@@ -24,6 +28,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -121,6 +126,14 @@ def _evaluate_forms(forms: tuple[ClosedForm, ...], k: int, precision_bits: int):
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _report(head: dict, cases: list[dict]) -> int:
+    """Print the JSON report ``{**head, "cases", "summary"}``; exit 1 if any case failed."""
+    failed = sum(not case["pass"] for case in cases)
+    summary = {"total": len(cases), "passed": len(cases) - failed, "failed": failed}
+    print(json.dumps({**head, "cases": cases, "summary": summary}, indent=2))
+    return CHECK_FAILED if failed else 0
+
+
 def _cmd_closed_form(args) -> int:
     forms = _mean_square_forms(args.r)
     if args.format == "json":
@@ -156,33 +169,16 @@ def _cmd_verify(args) -> int:
     # every form is built before the first oracle call, so r = 2 fails fast
     forms = {r: _mean_square_forms(r) for r in args.r}
     cases = []
-    failed = 0
     for r, r_forms in forms.items():
         for k in args.k:
             sym = _evaluate_forms(r_forms, k, prec)
             num = mean_square_numeric(r, k, prec)
             with mp.workprec(prec):
                 rel = abs(sym - num) / abs(num)
-            ok = bool(rel <= tol)
-            failed += not ok
-            cases.append(
-                {
-                    "r": r,
-                    "k": k,
-                    "symbolic_value": _nstr(sym, prec),
-                    "numeric_value": _nstr(num, prec),
-                    "rel_error": mp.nstr(rel, 3),
-                    "pass": ok,
-                }
-            )
-    report = {
-        "precision_bits": prec,
-        "tolerance": mp.nstr(tol, 3),
-        "cases": cases,
-        "summary": {"total": len(cases), "passed": len(cases) - failed, "failed": failed},
-    }
-    print(json.dumps(report, indent=2))
-    return 0 if failed == 0 else CHECK_FAILED
+            cases.append({"r": r, "k": k, "symbolic_value": _nstr(sym, prec),
+                          "numeric_value": _nstr(num, prec), "rel_error": mp.nstr(rel, 3),
+                          "pass": bool(rel <= tol)})
+    return _report({"precision_bits": prec, "tolerance": mp.nstr(tol, 3)}, cases)
 
 
 def _check_realjs(args) -> list[dict]:
@@ -203,12 +199,11 @@ def _check_realjs(args) -> list[dict]:
 
 
 def _check_expsum(args) -> list[dict]:
-    tol = float(args.tol)
     cases = []
     for n in range(1, args.n + 1):
         for k in args.k:
             for m in coprime_residues(k):
-                ok = power_exp_identity_check(n, m, k, precision_bits=args.prec, tol=tol)
+                ok = power_exp_identity_check(n, m, k, precision_bits=args.prec, tol=args.tol)
                 cases.append({"n": n, "m": m, "k": k, "pass": ok})
     return cases
 
@@ -230,107 +225,65 @@ def _check_sigma0(args) -> list[dict]:
         value = sigma0(h)
         expected = {0: {1: Fraction(1, 2)}} if h == 0 else {}
         rendered = render(value.get(0, {}), "text") if value else "0"
-        cases.append(
-            {"h": h, "block": "single-exponential", "value": rendered, "pass": value == expected}
-        )
+        cases.append({"h": h, "block": "single-exponential", "value": rendered, "pass": value == expected})
         if h >= 2:
             value_p = sigma0_prime(h)
-            cases.append(
-                {
-                    "h": h,
-                    "block": "single-exponential-even",
-                    "value": render(value_p.get(0, {}), "text") if value_p else "0",
-                    "pass": value_p == {},
-                }
-            )
+            rendered = render(value_p.get(0, {}), "text") if value_p else "0"
+            cases.append({"h": h, "block": "single-exponential-even", "value": rendered, "pass": not value_p})
     return cases
 
 
+def _cmd_identity_check(args) -> int:
+    return _report({"check": args.which}, _SUITES[args.which][0](args))
+
+
+# ---------------------------------------------------------------------------
+# The CLI table, and the parser and option plumbing built from it
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # a default that a flag or the config file must replace
+_FORMATS = ("latex", "json", "text")
+
+
+class _Option(NamedTuple):
+    kind: str  # a key of _KINDS
+    default: object = None  # as a flag would give it; None leaves the option unset
+    least: int | None = None
+    help: str | None = None
+
+
+_PREC = _Option("int", 128, 53)
+_TOL = _Option("tol", "1e-10")
+_FORMAT = _Option("format", "text")
+_MODULI, _HS = "moduli list (realjs/expsum)", "h list (sigma-cancel/sigma0)"
+
+# identity-check suite -> (runner, the options it reads).
 _SUITES = {
-    "realjs": _check_realjs,
-    "expsum": _check_expsum,
-    "sigma-cancel": _check_sigma_cancel,
-    "sigma0": _check_sigma0,
+    "realjs": (_check_realjs, {"p": _Option("int", 4, 1, "max first power (realjs)"),
+                               "q": _Option("int", 4, 1, "max second power (realjs)"),
+                               "k": _Option("list", "3..10", 3, _MODULI), "tol": _TOL, "prec": _PREC}),
+    "expsum": (_check_expsum, {"n": _Option("int", 6, 1, "max power (expsum)"),
+                               "k": _Option("list", "3..12", 3, _MODULI), "tol": _TOL, "prec": _PREC}),
+    "sigma-cancel": (_check_sigma_cancel, {"h": _Option("list", "1..4", 1, _HS)}),
+    "sigma0": (_check_sigma0, {"h": _Option("list", "0..3", 0, _HS)}),
 }
 
-
-def _cmd_identity_check(args) -> int:
-    cases = _SUITES[args.which](args)
-    failed = sum(not c["pass"] for c in cases)
-    report = {
-        "check": args.which,
-        "cases": cases,
-        "summary": {"total": len(cases), "passed": len(cases) - failed, "failed": failed},
-    }
-    print(json.dumps(report, indent=2))
-    return 0 if failed == 0 else CHECK_FAILED
-
-
-# ---------------------------------------------------------------------------
-# Argument plumbing
-# ---------------------------------------------------------------------------
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; each parse gets a fresh namespace."""
-    parser = argparse.ArgumentParser(
-        prog="meansq",
-        description="Exact mean-square closed forms for Dirichlet L-values, "
-        "reciprocal sine power sums, and a numeric verification oracle.",
-    )
-    parser.add_argument("--config", help="optional JSON config file; explicit flags win")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_form = sub.add_parser("closed-form", help="closed form for the rank-r mean square")
-    p_form.add_argument("--r", type=int, default=None)
-    p_form.add_argument("--format", choices=("latex", "json", "text"), default=None)
-    p_form.add_argument("--pedantic", action="store_true")
-
-    p_sin = sub.add_parser("sin-sum", help="Jordan expansion of the order-n sine power sum")
-    p_sin.add_argument("--n", type=int, default=None)
-    p_sin.add_argument("--k", type=int, default=None)
-    p_sin.add_argument("--format", choices=("latex", "json", "text"), default=None)
-    p_sin.add_argument("--pedantic", action="store_true")
-
-    p_ver = sub.add_parser("verify", help="compare closed forms against the numeric oracle")
-    p_ver.add_argument("--r", default=None, help="ranks: e.g. '5', '3..7', '1,3,5'")
-    p_ver.add_argument("--k", default=None, help="moduli: same syntax")
-    p_ver.add_argument("--prec", type=int, default=None, help="working precision in bits")
-    p_ver.add_argument("--tol", default=None, help="relative tolerance")
-    p_ver.add_argument("--pedantic", action="store_true")
-
-    p_id = sub.add_parser("identity-check", help="run one exact/numeric identity suite")
-    p_id.add_argument("--which", choices=tuple(_SUITES), required=True)
-    p_id.add_argument("--p", type=int, default=None, help="max first power (realjs)")
-    p_id.add_argument("--q", type=int, default=None, help="max second power (realjs)")
-    p_id.add_argument("--n", type=int, default=None, help="max power (expsum)")
-    p_id.add_argument("--k", default=None, help="moduli list (realjs/expsum)")
-    p_id.add_argument("--h", default=None, help="h list (sigma-cancel/sigma0)")
-    p_id.add_argument("--prec", type=int, default=None)
-    p_id.add_argument("--tol", default=None)
-    p_id.add_argument("--pedantic", action="store_true")
-    return parser
-
-
-_REQUIRED = object()
-_PREC = ("int", 128, 53)
-_TOL = ("tol", "1e-10", None)
-_FORMAT = ("format", "text", None)
-
-# The options each subcommand, and each identity-check suite, reads:
-# name -> (kind, default, least value).  A default of _REQUIRED must be set
-# by a flag or the config file; a default of None leaves the option unset.
-# Defaults are written as a flag would give them.  main fills and checks
-# every option from here before any handler runs.
-_OPTIONS = {
-    "closed-form": {"r": ("int", _REQUIRED, 1), "format": _FORMAT},
-    "sin-sum": {"n": ("int", 6, 0), "k": ("int", None, 3), "format": _FORMAT},
-    "verify": {"r": ("list", _REQUIRED, 1), "k": ("list", _REQUIRED, 3), "tol": _TOL, "prec": _PREC},
-    "realjs": {"p": ("int", 4, 1), "q": ("int", 4, 1), "k": ("list", "3..10", 3),
-               "tol": _TOL, "prec": _PREC},
-    "expsum": {"n": ("int", 6, 1), "k": ("list", "3..12", 3), "tol": _TOL, "prec": _PREC},
-    "sigma-cancel": {"h": ("list", "1..4", 1)},
-    "sigma0": {"h": ("list", "0..3", 0)},
+# The one declaration of the CLI: subcommand -> (handler, help line, its flags'
+# options, in help order).  identity-check's are the union of its suites' (a
+# name in two suites has one kind and help line); it reads those of the suite
+# --which names.  main fills and checks every option read before the handler runs.
+_COMMANDS = {
+    "closed-form": (_cmd_closed_form, "closed form for the rank-r mean square",
+                    {"r": _Option("int", _REQUIRED, 1), "format": _FORMAT}),
+    "sin-sum": (_cmd_sin_sum, "Jordan expansion of the order-n sine power sum",
+                {"n": _Option("int", 6, 0), "k": _Option("int", None, 3), "format": _FORMAT}),
+    "verify": (_cmd_verify, "compare closed forms against the numeric oracle",
+               {"r": _Option("list", _REQUIRED, 1, "ranks: e.g. '5', '3..7', '1,3,5'"),
+                "k": _Option("list", _REQUIRED, 3, "moduli: same syntax"),
+                "tol": _TOL._replace(help="relative tolerance"),
+                "prec": _PREC._replace(help="working precision in bits")}),
+    "identity-check": (_cmd_identity_check, "run one exact/numeric identity suite",
+                       {key: option for _, options in _SUITES.values() for key, option in options.items()}),
 }
 
 
@@ -338,20 +291,41 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Each kind of option: the config values it takes, how to say so, and how a value is parsed.
+# Each kind of option: the config values it takes, how to say so, how a value
+# is parsed, and the argparse arguments of its flag.
 _KINDS = {
-    "int": (_is_int, "an integer", int),
+    "int": (_is_int, "an integer", int, {"type": int}),
     "list": (lambda v: _is_int(v) or isinstance(v, str), "an integer or an integer list such as '3..7'",
-             lambda v: _parse_int_list(str(v))),
+             lambda v: _parse_int_list(str(v)), {}),
     "tol": (lambda v: _is_int(v) or isinstance(v, (str, float)), "a number or a numeric string",
-            _parse_tol),
-    "format": (lambda v: v in ("latex", "json", "text"), "one of latex, json, text", str),
-    "bool": (lambda v: isinstance(v, bool), "true or false", bool),
+            _parse_tol, {}),
+    "format": (lambda v: v in _FORMATS, f"one of {', '.join(_FORMATS)}", str, {"choices": _FORMATS}),
+    "bool": (lambda v: isinstance(v, bool), "true or false", bool, {"action": "store_true"}),
 }
 
 
-def _read_config(path: str, kinds: dict[str, str]) -> dict:
-    """The config file's values for the options in ``kinds``, and ``pedantic``.
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process from ``_COMMANDS``; each parse gets a fresh namespace."""
+    parser = argparse.ArgumentParser(
+        prog="meansq",
+        description="Exact mean-square closed forms for Dirichlet L-values, "
+        "reciprocal sine power sums, and a numeric verification oracle.",
+    )
+    parser.add_argument("--config", help="optional JSON config file; explicit flags win")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_line, options) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_line)
+        if command == "identity-check":
+            command_parser.add_argument("--which", choices=tuple(_SUITES), required=True)
+        for key, option in options.items():
+            command_parser.add_argument(f"--{key}", help=option.help, **_KINDS[option.kind][3])
+        command_parser.add_argument("--pedantic", **_KINDS["bool"][3])
+    return parser
+
+
+def _read_config(path: str, options: dict[str, _Option]) -> dict:
+    """The config file's values for ``options``, and ``pedantic``.
 
     The file must hold a JSON object whose keys are option names, each with
     a value of the kind its option takes; anything else raises ValueError.
@@ -360,30 +334,29 @@ def _read_config(path: str, kinds: dict[str, str]) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(config).__name__}")
-    unknown = sorted(set(config) - {key for table in _OPTIONS.values() for key in table} - {"pedantic"})
+    unknown = sorted(set(config) - {key for _, _, table in _COMMANDS.values() for key in table} - {"pedantic"})
     if unknown:
         raise ValueError(f"{path}: unknown key(s): {', '.join(unknown)}")
-    kinds = {**kinds, "pedantic": "bool"}
+    kinds = {key: option.kind for key, option in options.items()} | {"pedantic": "bool"}
     config = {key: value for key, value in config.items() if key in kinds}
     for key, value in config.items():
-        accepts, want, _ = _KINDS[kinds[key]]
+        accepts, want, _, _ = _KINDS[kinds[key]]
         if not accepts(value):
             raise ValueError(f"{path}: key {key!r} must be {want}, got {json.dumps(value)}")
     return config
 
 
-def _resolve_options(args, kinds: dict[str, str], config: dict) -> None:
-    """Set each option the invocation reads from its flag, else the config file, else its default.
+def _resolve_options(args, flags: dict[str, _Option], reads: dict[str, _Option], config: dict) -> None:
+    """Set each option in ``reads`` from its flag, else the config file, else its default.
 
-    An integer list is set sorted, each value once.  A flag the chosen suite
-    does not read, a missing required option, a malformed value and a value
-    below its least all raise ValueError.
+    An integer list is set sorted, each value once.  A flag in ``flags`` but
+    not in ``reads``, a missing required option, a malformed value and a
+    value below its least all raise ValueError.
     """
-    reads = _OPTIONS[args.which if args.command == "identity-check" else args.command]
-    stray = sorted(key for key in kinds.keys() - reads.keys() if getattr(args, key) is not None)
+    stray = sorted(key for key in flags.keys() - reads.keys() if getattr(args, key) is not None)
     if stray:
         raise ValueError(f"--which {args.which} does not read --{stray[0]}")
-    for key, (kind, default, least) in reads.items():
+    for key, (kind, default, least, _) in reads.items():
         value = getattr(args, key)
         if value is None:
             value = config.get(key, default)
@@ -401,26 +374,19 @@ def _resolve_options(args, kinds: dict[str, str], config: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # the kind of every option the subcommand has a flag for, over all its suites
-    names = _SUITES if args.command == "identity-check" else (args.command,)
-    kinds = {key: kind for name in names for key, (kind, _, _) in _OPTIONS[name].items()}
+    handler, _, flags = _COMMANDS[args.command]
+    reads = _SUITES[args.which][1] if args.command == "identity-check" else flags
     try:
-        config = _read_config(args.config, kinds) if args.config else {}
+        config = _read_config(args.config, flags) if args.config else {}
     except (OSError, ValueError) as exc:
         print(f"meansq: cannot read config: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.pedantic or config.get("pedantic"):
         for note in _PEDANTIC_NOTES:
             print(note, file=sys.stderr)
-    handlers = {
-        "closed-form": _cmd_closed_form,
-        "sin-sum": _cmd_sin_sum,
-        "verify": _cmd_verify,
-        "identity-check": _cmd_identity_check,
-    }
     try:
-        _resolve_options(args, kinds, config)
-        return handlers[args.command](args)
+        _resolve_options(args, flags, reads, config)
+        return handler(args)
     except UncancelledPowerError as exc:
         print(f"meansq: internal cancellation failure: {exc}", file=sys.stderr)
         return CHECK_FAILED

@@ -524,7 +524,9 @@ def exp_sum_direct(p: int, q: int, k: int, precision_bits: int = 128):
     return total
 
 
-def power_exp_identity_check(n: int, m: int, k: int, precision_bits: int = 128, tol: float = 1e-10) -> bool:
+def power_exp_identity_check(
+    n: int, m: int, k: int, precision_bits: int = 128, tol: float | mp.mpf = 1e-10
+) -> bool:
     """Check the finite expansion of sum_{j<k} j^n e^(2*pi*i*m*j/k).
 
     Left side: the sum evaluated directly.  Right side: the derivative
@@ -533,7 +535,8 @@ def power_exp_identity_check(n: int, m: int, k: int, precision_bits: int = 128, 
         sum_{j=1}^{n} C(n,j) k^j sum_{alpha=1}^{n-j+1}
             A(n-j, alpha) / (e^(2*pi*i*m/k) - 1)^alpha.
 
-    True iff they agree to ``tol`` relative at the given precision.
+    True iff they agree to ``tol`` relative at the given precision; an mpf
+    ``tol`` may lie below the smallest float.
     """
     if n < 1:
         raise ValueError(f"power_exp_identity_check: n must be >= 1, got {n}")

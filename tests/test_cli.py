@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,11 +56,15 @@ class TestClosedForm:
         assert len(out.strip().splitlines()) == 2
 
     def test_json_round_trips_through_parser(self, capsys):
-        from meansq.mean_square import mean_square_odd
+        from meansq.mean_square import mean_square_even, mean_square_odd
 
-        code, out, _ = run(capsys, "closed-form", "--r", "5", "--format", "json")
-        assert code == 0
-        assert parse_closed_form(out) == mean_square_odd(5)
+        for r, expected in [(1, list(mean_square_odd(1))), (5, mean_square_odd(5)), (6, mean_square_even(6))]:
+            code, out, _ = run(capsys, "closed-form", "--r", str(r), "--format", "json")
+            assert code == 0
+            data = json.loads(out)
+            # r = 1 prints its two forms as a JSON list, whose elements each parse
+            parsed = [parse_closed_form(form) for form in data] if r == 1 else parse_closed_form(data)
+            assert parsed == expected, r
 
 
 class TestSinSum:
@@ -189,6 +194,13 @@ class TestIdentityCheck:
         code, out, _ = run(capsys, "identity-check", "--which", "expsum", "--n", "3", "--k", "3..6")
         assert code == 0
         assert json.loads(out)["summary"]["failed"] == 0
+
+    def test_expsum_keeps_a_tolerance_below_the_float_range(self, capsys):
+        # 1e-400 as a float is 0.0, which no rounded comparison meets
+        argv = ("--which", "expsum", "--n", "1", "--k", "3", "--prec", "1400", "--tol", "1e-400")
+        code, out, _ = run(capsys, "identity-check", *argv)
+        assert code == 0
+        assert json.loads(out)["summary"] == {"total": 2, "passed": 2, "failed": 0}
 
     @pytest.mark.parametrize(
         "argv",
@@ -378,6 +390,22 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["closed-form", "--bogus"])
         assert exc.value.code == 2
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    def test_help_lists_the_table_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"] if command is None else [command, "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        flags = set(re.findall(r"(?<![\w-])--[\w-]+", out))
+        if command is None:
+            assert flags == {"--help", "--config"}
+            assert all(name in out for name in cli._COMMANDS)
+        else:
+            expected = {f"--{key}" for key in cli._COMMANDS[command][2]} | {"--help", "--pedantic"}
+            assert flags == expected | ({"--which"} if command == "identity-check" else set())
 
 
 class TestRepeatedCalls:
