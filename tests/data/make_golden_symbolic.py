@@ -3,10 +3,10 @@
 The file pins the exact symbolic outputs byte for byte:
 
 * ``closed_forms`` -- the JSON render of every closed form for r = 1 and
-  r = 3..15 (r = 1 gives the main form and its correction);
+  r = 3..41 (r = 1 gives the main form and its correction);
 * ``sin_sums``     -- the JSON render of ``sin_sum_exact(n)`` for every even
-  n <= 40;
-* ``sigma``        -- the six sigma blocks for every h <= 5 in their domain,
+  n <= 80;
+* ``sigma``        -- the six sigma blocks for every h <= 20 in their domain,
   each as a JSON object ``{k-exponent: {Jordan index: "p/q"}}``.
 
 Usage, from a checkout::
@@ -42,9 +42,9 @@ from meansq import (
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_symbolic.json"
 
-RANKS = (1, *range(3, 16))
-SIN_ORDERS = tuple(range(0, 41, 2))
-SIGMA_H_MAX = 5
+RANKS = (1, *range(3, 42))
+SIN_ORDERS = tuple(range(0, 81, 2))
+SIGMA_H_MAX = 20
 # Block name -> (builder, smallest h it accepts).
 SIGMA_BLOCKS = {
     "sigma0": (sigma0, 0),
