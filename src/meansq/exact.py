@@ -3,24 +3,23 @@
 Everything downstream (sine power sums, mean-square closed forms) is a huge
 nested sum of products of factorials, binomials, Bernoulli numbers and the
 coefficients that express derivatives of 1/(e^w - 1) as powers of
-1/(e^w - 1).  All of it is exact.  The public functions return
-``fractions.Fraction`` values; inside, the tables are plain ``int``s: the
-Bernoulli recurrence runs on integer numerators over one common denominator
-and the derivative coefficients are memoized as integers, so the builders
-downstream can stay in integers over one denominator too
-(``_bernoulli_ints``, ``_deriv_int``).  The sine-sum induction, the power
-sums and the sigma blocks all expand one Bernoulli-weighted power sum: its
-weights come from ``_bernoulli_weights``, its cells from ``_weighted_cells``.
+1/(e^w - 1), all exact.  The public functions return ``Fraction``s; inside,
+the tables are ``int``s over one denominator (``_bernoulli_ints``,
+``_deriv_int``), so the builders downstream stay in integers too.  The
+sine-sum induction, the power sums and the sigma blocks all expand one
+Bernoulli-weighted power sum, with cells from ``_weighted_cells`` and
+weights from ``_bernoulli_weights``: W_e = C(r, e) P(e, min(q_max, e - 1)),
+reflected (-1)^(r+e+1) W_e, from one cached P(e, m) = sum_{q <= m} C(e, q) B_q.
 
-The tables built here (Bernoulli numbers, derivative coefficients) are
-memoized and never mutated after an entry is published, so they can be
-shared freely between concurrent evaluations.
+The memoized tables (B_q, derivative coefficients, P) are never mutated
+after an entry is published, so concurrent evaluations can share them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 __all__ = [
     "binomial",
@@ -115,28 +114,31 @@ def _deriv_int(q: int, j: int) -> int:
     return _DERIV_ROWS[q][j - 1]
 
 
+@cache
+def _bernoulli_partial(e: int, m: int) -> Fraction:
+    """P(e, m) = sum_{q <= m} C(e, q) B_q; by the Bernoulli recurrence P(e, e-1) = [e = 1]."""
+    nums, den = _bernoulli_ints(m)
+    return Fraction(sum(math.comb(e, q) * b for q, b in enumerate(nums)), den)
+
+
 def _bernoulli_weights(r: int, q_max: int, reflected: bool = False) -> tuple[dict[int, int], int]:
     """Weight W_e of k^e in sum_{q <= q_max} B_q C(r, q) k^q S(r-q), or its reflected form.
 
-    With S(p) = sum_j C(p, j) k^j sum_alpha A(p-j, alpha) R(alpha) the power
-    sum, the term (q, j) multiplies k^e, e = q + j, by the bracket
-    sum_alpha A(r-e, alpha) R(alpha) of e alone, so the scalars are summed
-    per e.  The reflected form replaces k^q S(r-q) by sum_{a < r-q}
-    (-1)^(r-q-a) C(r-q, a) k^(q+a) S(r-q-a).  The weights are integers over
-    lcm(B_0..B_{q_max} denominators), returned with them; most are exactly
-    zero, which the arithmetic finds and nothing here assumes.
+    With S(p) = sum_j C(p, j) k^j sum_alpha A(p-j, alpha) R(alpha), the term
+    (q, j) lands on k^e, e = q + j, and C(r, q) C(r-q, e-q) = C(r, e) C(e, q),
+    so W_e = C(r, e) P(e, min(q_max, e - 1)).  The reflected form puts
+    sum_{a < r-q} (-1)^(r-q-a) C(r-q, a) k^(q+a) S(r-q-a) for k^q S(r-q); as
+    C(r-q, a) C(r-q-a, j) = C(r-q, e-q) C(e-q, a) and the sum over a < e-q of
+    (-1)^(r-q-a) C(e-q, a) is (-1)^(r+e+1), its weights are (-1)^(r+e+1) W_e.
+    All are ints over lcm(B_0..B_{q_max} denominators), returned with them;
+    most are exactly zero, which the arithmetic finds and nothing here assumes.
     """
-    bnums, bden = _bernoulli_ints(q_max)
+    bden = _bernoulli_ints(q_max)[1]
     weights: dict[int, int] = {}
-    for q, b in enumerate(bnums):
-        if not b:
-            continue
-        w = b * math.comb(r, q)
-        layers = [(a, (-1) ** (r - q - a) * math.comb(r - q, a) * w) for a in range(r - q)] if reflected else [(0, w)]
-        for a, wa in layers:
-            p = r - q - a
-            for j in range(1, p + 1):
-                weights[q + a + j] = weights.get(q + a + j, 0) + wa * math.comb(p, j)
+    for e in range(1, r + 1):
+        p = _bernoulli_partial(e, min(q_max, e - 1))
+        w = math.comb(r, e) * p.numerator * (bden // p.denominator)
+        weights[e] = -w if reflected and (r + e) % 2 == 0 else w
     return weights, bden
 
 

@@ -14,28 +14,27 @@ Below the published values everything is a scalar table keyed by
   coefficients), and the paired product sum of powers p and q is the
   convolution of two such tables;
 * a sigma block is the convolution of two Bernoulli-weighted power sums,
-  each the integer cells of its nonzero weights (``exact._bernoulli_weights``)
-  over the lcm of the Bernoulli denominators, so the convolution multiplies
-  only ``int``s and builds no Jordan combination;
+  each the integer cells of its nonzero weights W_e = C(r, e) P(e, min(q_max,
+  e - 1)), reflected (-1)^(r+e+1) W_e, with P(e, m) = sum_{q <= m} C(e, q) B_q
+  (``exact._bernoulli_weights``), over the lcm of the Bernoulli denominators,
+  so the convolution multiplies only ``int``s and builds no Jordan combination;
 * ``sine_sums._expand_laurent`` turns that table and its denominator into a
   ``KLaurent``, expanding one Jordan combination per k-exponent and forming
   one ``Fraction`` per published coefficient.
 
 One template, ``_sigma(kind, r, q_max)``, builds all six blocks.  The
 unprimed names take r = 2h + 1 with q1, q2 <= 2h (odd case), the primed
-names r = 2h with q1, q2 <= 2h - 2 (even case); the kind picks the block:
+names r = 2h with q1, q2 <= 2h - 2 (even case); the closed forms take
+q_max = r - 1 for both (B_(r-1) = 0 for even r >= 4).  The kind picks:
 
 * ``single``    (``sigma0`` / ``sigma0_prime``) -- the single-exponential
-  block.  It collapses to phi(k)/2 for r = 1 and vanishes identically for
-  larger r; the vanishing falls out of the exact Bernoulli cancellation,
-  the builder just does the arithmetic.
+  block: phi(k)/2 at r = 1 and identically zero above, which the exact
+  Bernoulli cancellation finds; the builder just does the arithmetic.
 * ``reflected`` (``sigma1`` / ``sigma1_prime``) -- the block produced by
-  reflecting the conjugate exponential sum, with its extra alternating
-  binomial layer.
+  reflecting the conjugate exponential sum; ``sigma1(h) = -sigma2(h)`` and
+  ``sigma1_prime(h) = sigma2_prime(h)`` exactly, as the final formulas need
+  and the tests check.
 * ``direct``    (``sigma2`` / ``sigma2_prime``) -- the direct product block.
-
-``sigma1(h) = -sigma2(h)`` and ``sigma1_prime(h) = sigma2_prime(h)`` hold
-exactly; the test suite checks both since the final formulas rely on them.
 
 All builders are pure and memoized with ``functools.cache``.  The cached
 tables, sigma blocks and product sums are read-only mappings, shared inside
@@ -49,9 +48,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from math import comb
 
-from .exact import _bernoulli_ints, _bernoulli_weights, _weighted_cells, bernoulli, factorial
+from .exact import _bernoulli_weights, _weighted_cells, bernoulli, factorial
 from .sine_sums import _expand_laurent
 from .symbolic import ClosedForm, KLaurent, _frozen, _thawed, evaluate_laurent, kl_shift
 
@@ -154,9 +152,9 @@ def _sigma(kind: str, r: int, q_max: int) -> Mapping:
     convolution, as in ``_exp_product``):
 
     * ``direct``    -- k^(-2r) U * U;
-    * ``reflected`` -- k^(-2r) U * V, V the reflected form of U, with the
-                       alternating a-layer (``exact._bernoulli_weights``);
-    * ``single``    -- -(sum_{q <= q_max} B_q C(r, q)) k^(-r) U.
+    * ``reflected`` -- k^(-2r) U * V, V the reflected form of U, its weights
+                       signed by (-1)^(r+e+1) (``exact._bernoulli_weights``);
+    * ``single``    -- -P(r, q_max) k^(-r) U; P(r, q_max) is U's W_r, as q_max < r.
 
     U and V are integer tables over one Bernoulli denominator, so the
     convolution multiplies only ints; the scalars are collected per
@@ -164,8 +162,7 @@ def _sigma(kind: str, r: int, q_max: int) -> Mapping:
     """
     weights, bden = _bernoulli_weights(r, q_max)
     if kind == "single":
-        c = -sum(b * comb(r, q) for q, b in enumerate(_bernoulli_ints(q_max)[0]))
-        table = _weighted_cells(r, weights, shift=-r, scale=c)
+        table = _weighted_cells(r, weights, shift=-r, scale=-weights[r])
     else:
         first = _weighted_cells(r, weights)
         second = first if kind == "direct" else _weighted_cells(r, _bernoulli_weights(r, q_max, reflected=True)[0])
@@ -185,7 +182,7 @@ def sigma2(h: int) -> KLaurent:
 
 
 def sigma1(h: int) -> KLaurent:
-    """Reflected block of the odd case, with its alternating a-layer."""
+    """Reflected block of the odd case."""
     if h < 1:
         raise ValueError(f"sigma1: h must be >= 1, got {h}")
     return _thawed(_sigma("reflected", 2 * h + 1, 2 * h))
@@ -194,7 +191,7 @@ def sigma1(h: int) -> KLaurent:
 def sigma0(h: int) -> KLaurent:
     """Single-exponential block of the odd case.
 
-    Equals {1: 1/2} (i.e. phi(k)/2) for h = 0 and the empty Laurent for
+    Equals {0: {1: 1/2}} (i.e. phi(k)/2) for h = 0 and the empty Laurent for
     h >= 1: the inner Bernoulli-binomial sum over q2 is exactly zero then.
     """
     if h < 0:
@@ -260,10 +257,9 @@ def mean_square_even(r: int) -> ClosedForm:
 
 @cache
 def _mean_square(r: int) -> ClosedForm | tuple[ClosedForm, ClosedForm]:
-    """Both parities: (-1)^r 4^(r-1) / (r!)^2 * pi^(2r) * phi(k) * k^(-2)
-    times the direct block of rank r, with q_max = r - 1 for odd r (sigma2)
-    and r - 2 for even r (sigma2_prime); r = 1 adds the correction."""
-    block = _sigma("direct", r, r - 1 if r % 2 else r - 2)
+    """Both parities: (-1)^r 4^(r-1) / (r!)^2 * pi^(2r) * phi(k) * k^(-2) times
+    the direct block of rank r, q_max = r - 1; r = 1 adds the correction."""
+    block = _sigma("direct", r, r - 1)
     scalar = (-1) ** r * Fraction(2) ** (2 * r - 2) / (factorial(r) ** 2)
     main_form = ClosedForm(scalar=scalar, pi_exp=2 * r, phi_exp=1, body=kl_shift(block, -2))
     if r > 1:

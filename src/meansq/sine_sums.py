@@ -20,9 +20,10 @@ Bernoulli/binomial sums never normalize a fraction:
   half = floor(n/2)) for the coprime-sum R(n) of the real part of
   (e^(2*pi*i*m/k) - 1)^(-n), reduced to sine power sums via the explicit
   Chebyshev representations of cos/sin of multiple angles;
-* ``_recursion_laurent(n)`` takes the Bernoulli weights of the step from
-  ``exact._bernoulli_weights``, as the sigma blocks do, and expands them
-  into integer cells over lcm(B_q denominators) * n!;
+* ``_recursion_laurent(n)`` expands the step's weights W_e = C(n, e)
+  P(e, e - 1), P(e, m) = sum_{q <= m} C(e, q) B_q (``exact._bernoulli_weights``,
+  unreflected: no sign (-1)^(n+e+1)), which the Bernoulli recurrence makes
+  n [e = 1], into integer cells over lcm(B_q denominators) * n!;
 * ``_expand_laurent`` collects a {(k-exponent, order of R): numerator}
   table into one integer {sine order: numerator} table per k-exponent,
   reads the sine sums' numerators over their lcm, and divides once per

@@ -55,6 +55,22 @@ def reference_induction_weights(n):
     return weights
 
 
+def reference_bernoulli_weights(r, q_max, reflected):
+    """The weights summed term by term over (q, a, j), e = q + a + j."""
+    bnums, bden = _bernoulli_ints(q_max)
+    weights = {}
+    for q, b in enumerate(bnums):
+        if not b:
+            continue
+        w = b * comb(r, q)
+        layers = [(a, (-1) ** (r - q - a) * comb(r - q, a) * w) for a in range(r - q)] if reflected else [(0, w)]
+        for a, wa in layers:
+            p = r - q - a
+            for j in range(1, p + 1):
+                weights[q + a + j] = weights.get(q + a + j, 0) + wa * comb(p, j)
+    return weights, bden
+
+
 def reference_bernoulli_sum(r, q_max, reflected):
     out = {}
     for q in range(q_max + 1):
@@ -111,10 +127,21 @@ def test_induction_weights(n):
     assert over(shifted, den * factorial(n)) == nonzero(reference_induction_weights(n))
 
 
+@pytest.mark.parametrize("r", range(1, 41))
+def test_bernoulli_weights_match_the_term_sum(r):
+    # W_e = C(r, e) P(e, min(q_max, e - 1)), reflected (-1)^(r+e+1) W_e
+    for q_max in range(r + 1):
+        for reflected in (False, True):
+            weights, den = _bernoulli_weights(r, q_max, reflected)
+            want, want_den = reference_bernoulli_weights(r, q_max, reflected)
+            assert all(type(v) is int for v in weights.values())
+            assert (nonzero(weights), den) == (nonzero(want), want_den), (q_max, reflected)
+
+
 @pytest.mark.parametrize("r", [*range(1, 22, 2), *range(4, 21, 2)])
 def test_bernoulli_sum(r):
-    # q_max as the mean squares use it: r - 1 for odd r, r - 2 for even r
-    q_max = r - 1 if r % 2 else r - 2
+    # q_max as the mean squares use it: r - 1 for both parities
+    q_max = r - 1
     for reflected in (False, True):
         weights, den = _bernoulli_weights(r, q_max, reflected)
         table = _weighted_cells(r, weights)

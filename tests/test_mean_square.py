@@ -1,5 +1,6 @@
 """Tests for the sigma blocks and the final closed forms."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from meansq.mean_square import (
     sigma2_prime,
 )
 from meansq.oracle import exp_sum_direct
-from meansq.symbolic import ClosedForm, evaluate_closed_form, evaluate_laurent, kl_add, parse_closed_form, render
+from meansq.symbolic import ClosedForm, evaluate_closed_form, evaluate_laurent, kl_add, kl_shift, parse_closed_form, render
 
 F = Fraction
 
@@ -107,6 +108,14 @@ class TestFinalForms:
             body={-12: {12: F(691), 6: F(2860), 4: F(63063), 2: F(573300)}},
         )
         assert mean_square_even(6) == expected
+
+    @pytest.mark.parametrize("r", range(4, 41, 2))
+    def test_even_form_is_built_on_sigma2_prime(self, r):
+        # the form takes q_max = r - 1 and sigma2_prime q_max = r - 2; the
+        # term between them carries B_(r-1) = 0
+        scalar = (-1) ** r * F(4) ** (r - 1) / F(math.factorial(r)) ** 2
+        expected = ClosedForm(scalar=scalar, pi_exp=2 * r, phi_exp=1, body=kl_shift(sigma2_prime(r // 2), -2))
+        assert mean_square_even(r) == expected
 
     def test_r1_pair(self):
         main_form, correction = mean_square_odd(1)
