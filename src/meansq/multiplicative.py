@@ -1,7 +1,14 @@
-"""Multiplicative arithmetic functions over concrete moduli."""
+"""Multiplicative arithmetic functions over concrete moduli.
+
+The last 16 moduli seen each keep one entry: k / rad k, the primes of k and
+the J_s(k) formed so far.  Every evaluation at k reads and fills that entry,
+so a form, a sine sum and ``jordan_totient`` at one k share one
+factorization and form each J_s(k) once.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +34,17 @@ class Factorization:
         return tuple([p for p, _ in self.factors])
 
 
+def _sieve(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    composite = bytearray(n)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = b"\x01" * len(range(p * p, n, p))
+    return tuple([p for p in range(2, n) if not composite[p]])
+
+
 # The primes below 1000, the first divisors ``factorize`` tries.
-_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+_SMALL_PRIMES = _sieve(1000)
 
 
 def factorize(n: int) -> Factorization:
@@ -57,23 +73,35 @@ def factorize(n: int) -> Factorization:
     return Factorization(factors=tuple(factors))
 
 
-def _jordan_table(indices, k: int, primes: tuple[int, ...]) -> dict[int, int]:
-    """{s: J_s(k)} for every s of the ascending ``indices``, each formed once, exact.
+@functools.lru_cache(maxsize=16, typed=True)
+def _modulus(k: int) -> tuple[int, tuple[int, ...], dict[int, int]]:
+    """(k / rad k, the primes of k, {s: J_s(k)} filled by ``_jordan_table``).
 
-    ``primes`` are the primes of k, so one factorization serves every index.
-    J_s(k) = k^s * prod_{p | k} (1 - p^(-s)) is formed in integers as
+    One entry per modulus, for the last 16 moduli asked for; keys are typed,
+    so a float k never shares the integer k's table.
+    """
+    primes = factorize(k).primes
+    return k // math.prod(primes), primes, {}
+
+
+def _jordan_table(indices, k: int) -> dict[int, int]:
+    """The table {s: J_s(k)} of k, holding every s >= 1 of ``indices``, exact.
+
+    The table is k's entry of the modulus cache, shared by every caller at k
+    and read-only to them: an index missing from it is formed and kept, so
+    one factorization serves every evaluation at k and each J_s(k) is formed
+    once.  J_s(k) = k^s * prod_{p | k} (1 - p^(-s)) is formed in integers as
     m^s * prod_{p | k} (p^s - 1) with m = k / prod_{p | k} p, which needs no
     division and is about twice as fast as dividing k^s by each p^s.
+    Callers check that every index is >= 1.
     """
-    if indices and indices[0] < 1:
-        raise ValueError(f"jordan_totient: s must be >= 1, got {indices[0]}")
-    m = k // math.prod(primes)
-    table = {}
+    m, primes, table = _modulus(k)
     for s in indices:
-        v = m**s
-        for p in primes:
-            v *= p**s - 1
-        table[s] = v
+        if s not in table:
+            v = m**s
+            for p in primes:
+                v *= p**s - 1
+            table[s] = v
     return table
 
 
@@ -87,7 +115,7 @@ def jordan_totient(s: int, k: int) -> Fraction:
         raise ValueError(f"jordan_totient: s must be >= 1, got {s}")
     if k < 1:
         raise ValueError(f"jordan_totient: k must be >= 1, got {k}")
-    return Fraction(_jordan_table((s,), k, factorize(k).primes)[s])
+    return Fraction(_jordan_table((s,), k)[s])
 
 
 def euler_phi(k: int) -> Fraction:

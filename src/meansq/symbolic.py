@@ -22,11 +22,15 @@ form can be memoized and shared; the builders memoize ``_frozen`` tables.
 Each form carries its evaluation plan, built once from the canonical body:
 the lowest k-exponent, the (Jordan index, integer coefficient) pairs of each
 exponent and the distinct Jordan indices.  Evaluating at k reads only the
-plan: one factorization of k, one table of the J_s(k) and integer sums, with
-one reduction at the end.  ``evaluate_laurent`` builds the same plan from its
-argument on each call and shares the evaluator.  ``evaluate_jordan`` does too,
-except for a combo equal to a cached sine sum: ``sine_sums`` keeps each sum's
-plan here when it caches the sum, and that plan is reused.
+plan and k's table of the J_s(k), then sums in integers, with one reduction
+at the end.  That table lives in ``multiplicative``'s cache of the last 16
+moduli: every evaluation at one k, of forms and sine sums alike, shares one
+factorization of k and forms each J_s(k) once.  ``evaluate_laurent`` builds
+the same plan from its argument on each call and shares the evaluator.
+``evaluate_jordan`` does too, except for a combo equal to a cached sine sum:
+``sine_sums`` keeps each sum's plan here when it caches the sum, and that
+plan is reused.  ``evaluate_closed_form`` rounds the exact ratio times a
+cached power of pi in integers, with the roundings of mpmath's arithmetic.
 
 Renders of a ``ClosedForm`` are cached on the form, one string per format,
 filled on first use: the form is immutable, so the bytes cannot change.
@@ -43,9 +47,9 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from mpmath import mp
-from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pos, round_nearest
+from mpmath.libmp import MPZ
 
-from .multiplicative import _jordan_table, factorize
+from .multiplicative import _jordan_table
 
 __all__ = [
     "JordanCombo",
@@ -143,14 +147,17 @@ def _laurent_plan(laurent: KLaurent) -> tuple:
     return _build_plan(laurent, 1, 0, math.lcm(*[c.denominator for combo in laurent.values() for c in combo.values()]))
 
 
-def _plan_ratio(plan: tuple, k: int) -> tuple[int, int]:
+def _plan_ratio(plan: tuple, k: int, caller: str) -> tuple[int, int]:
     """The plan's value at k as an unreduced (numerator, denominator) pair.
 
-    One factorization of k and one Jordan table; every k-power is taken
-    over the lowest exponent, so the sum runs in integers.
+    The J_s(k) come from k's shared Jordan table; every k-power is taken
+    over the lowest exponent, so the sum runs in integers.  A Jordan index
+    below 1 is a ``ValueError`` named after ``caller``.
     """
     num, den, phi_exp, low, rows, indices = plan
-    jordan = _jordan_table(indices, k, factorize(k).primes)
+    if indices and indices[0] < 1:
+        raise ValueError(f"{caller}: Jordan index must be >= 1, got {indices[0]}")
+    jordan = _jordan_table(indices, k)
     total = 0
     for shift, terms in rows:
         row = 0
@@ -186,15 +193,15 @@ def evaluate_jordan(combo: JordanCombo, k: int) -> Fraction:
         raise ValueError(f"evaluate_jordan: k must be >= 1, got {k}")
     kept = _JORDAN_PLANS.get(max(combo)) if combo else None
     if kept is not None and kept[0] == combo:
-        return Fraction(*_plan_ratio(kept[1], k))
-    return Fraction(*_plan_ratio(_laurent_plan({0: combo}), k))
+        return Fraction(*_plan_ratio(kept[1], k, "evaluate_jordan"))
+    return Fraction(*_plan_ratio(_laurent_plan({0: combo}), k, "evaluate_jordan"))
 
 
 def evaluate_laurent(laurent: KLaurent, k: int) -> Fraction:
     """sum_e k^e * combo_e(k), exact."""
     if k < 1:
         raise ValueError(f"evaluate_laurent: k must be >= 1, got {k}")
-    return Fraction(*_plan_ratio(_laurent_plan(laurent), k))
+    return Fraction(*_plan_ratio(_laurent_plan(laurent), k, "evaluate_laurent"))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +272,22 @@ def _pi_power(pi_exp: int, precision_bits: int) -> tuple:
         return (mp.pi**pi_exp)._mpf_
 
 
+def _round_even(man: int, exp: int, bits: int) -> tuple[int, int]:
+    """man * 2^exp, for man > 0, rounded half to even to ``bits`` significant bits.
+
+    Returns (man, exp) with man below 2^bits, or equal to it after a carry.
+    """
+    shift = man.bit_length() - bits
+    if shift <= 0:
+        return man, exp
+    head = man >> shift
+    rest = man - (head << shift)
+    half = 1 << (shift - 1)
+    if rest > half or (rest == half and head & 1):
+        head += 1
+    return head, exp + shift
+
+
 def evaluate_closed_form(form: ClosedForm, k: int, precision_bits: int = 128):
     """Numeric value at k: exact rational part first, pi power last.
 
@@ -274,17 +297,29 @@ def evaluate_closed_form(form: ClosedForm, k: int, precision_bits: int = 128):
     """
     if k < 3:
         raise ValueError(f"evaluate_closed_form: k must be >= 3, got {k}")
-    if precision_bits < 53:
-        raise ValueError(f"evaluate_closed_form: precision_bits must be >= 53, got {precision_bits}")
-    num, den = _plan_ratio(form._plan, k)
+    if not isinstance(precision_bits, int) or precision_bits < 53:
+        raise ValueError(f"evaluate_closed_form: precision_bits must be an integer >= 53, got {precision_bits!r}")
+    num, den = _plan_ratio(form._plan, k, "evaluate_closed_form")
+    if not num:
+        return mp.zero
     g = math.gcd(num, den)
+    den //= g
     # mp.mpf(num) / den * pi^pi_exp at precision_bits + 16, then rounded to
-    # precision_bits: the same roundings as that context arithmetic, made
-    # by the libmp functions it calls, without entering working precisions.
+    # precision_bits: the four roundings of that context arithmetic, half to
+    # even, made on integer mantissas.  The quotient keeps at least prec + 2
+    # bits and a sticky bit for a nonzero remainder, so it rounds as the
+    # exact quotient does.
     prec = precision_bits + 16
-    value = mpf_div(mpf_pos(from_int(num // g), prec, round_nearest), from_int(den // g), prec, round_nearest)
-    value = mpf_mul(value, _pi_power(form.pi_exp, prec), prec, round_nearest)
-    return mp.make_mpf(mpf_pos(value, precision_bits, round_nearest))
+    man, exp = _round_even(abs(num) // g, 0, prec)
+    shift = prec + 2 + den.bit_length() - man.bit_length()
+    quot, rem = divmod(man << shift, den)
+    man, exp = _round_even(quot << 1 | (rem != 0), exp - shift - 1, prec)
+    _, pi_man, pi_exp, _ = _pi_power(form.pi_exp, prec)
+    man, exp = _round_even(man * pi_man, exp + pi_exp, prec)
+    man, exp = _round_even(man, exp, precision_bits)
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return mp.make_mpf((1 if num < 0 else 0, MPZ(man), exp + zeros, man.bit_length()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Exact evaluation at k against the plain Fraction-product definition.
 
 ``evaluate_jordan``, ``evaluate_laurent`` and ``evaluate_closed_form`` work
-in integers from one factorization of k.  The reference below is the
+in integers from k's shared table of the J_s(k).  The reference below is the
 textbook definition, J_s(k) = k^s * prod_{p | k} (1 - p^(-s)) as a product
-of Fractions, summed term by term; every value must match it exactly.
+of Fractions, summed term by term; every value must match it exactly, and
+every closed-form value must match, bit for bit, mpmath's context arithmetic
+on that exact value.
 """
 
 import json
@@ -16,11 +18,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from meansq import symbolic
+from meansq import multiplicative, symbolic
 from meansq.mean_square import mean_square_even, mean_square_odd
-from meansq.multiplicative import factorize, jordan_totient
+from meansq.multiplicative import euler_phi, factorize, jordan_totient
 from meansq.sine_sums import UncancelledPowerError, sin_sum_exact
 from meansq.symbolic import (
+    ClosedForm,
     evaluate_closed_form,
     evaluate_jordan,
     evaluate_laurent,
@@ -39,6 +42,10 @@ MODULI = (
     3, 4, 8, 1024, 2**20, 30, 210, 2310, 360, 720720, 99991, 2 * 99991, 10**5,
     1009**2, 2 * 1009 * 1013, 999983, 10**6 + 3,
 )
+
+# Working precisions of the closed-form checks: the double's 53 bits, one
+# word, the CLI's default, and two that are not multiples of 64.
+PRECISIONS = (53, 64, 128, 200, 333)
 
 
 def ref_jordan(s, k):
@@ -88,7 +95,7 @@ class TestGoldenValues:
         for form in forms:
             for k in MODULI:
                 assert evaluate_laurent(form.body, k) == ref_laurent(form.body, k), (form, k)
-                for bits in (53, 128):
+                for bits in PRECISIONS:
                     got = evaluate_closed_form(form, k, bits)
                     assert got._mpf_ == ref_closed_form(form, k, bits)._mpf_, (form, k, bits)
 
@@ -100,7 +107,7 @@ class TestGoldenValues:
         forms = mean_square_odd(r) if r % 2 else mean_square_even(r)
         for form in forms if isinstance(forms, tuple) else (forms,):
             for k in MODULI:
-                for bits in (53, 128):
+                for bits in PRECISIONS:
                     got = evaluate_closed_form(form, k, bits)
                     assert got._mpf_ == ref_closed_form(form, k, bits)._mpf_, (r, k, bits)
 
@@ -122,6 +129,13 @@ class TestGoldenValues:
 coefficients = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 combos = st.dictionaries(st.integers(1, 30), coefficients, max_size=8)
 moduli = st.integers(1, 10**6)
+closed_forms = st.builds(
+    ClosedForm,
+    coefficients,
+    st.integers(0, 40),
+    st.integers(0, 3),
+    st.dictionaries(st.integers(-40, 40), combos, max_size=4),
+)
 
 
 class TestProperties:
@@ -135,6 +149,11 @@ class TestProperties:
     def test_laurent_matches_reference(self, laurent, k):
         assert evaluate_laurent(laurent, k) == ref_laurent(laurent, k)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(closed_forms, st.integers(3, 10**6), st.sampled_from(PRECISIONS))
+    def test_closed_form_matches_reference(self, form, k, bits):
+        assert evaluate_closed_form(form, k, bits)._mpf_ == ref_closed_form(form, k, bits)._mpf_
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(combos, combos, moduli)
     def test_additive(self, a, b, k):
@@ -145,6 +164,112 @@ class TestProperties:
     def test_jordan_multiplicative(self, s, m, n):
         assume(math.gcd(m, n) == 1)
         assert jordan_totient(s, m * n) == jordan_totient(s, m) * jordan_totient(s, n)
+
+
+def _ratio_form(num, den, pi_exp=0):
+    """A form whose value at k = 3 is exactly num / den * pi^pi_exp (J_1(3) = 2)."""
+    return ClosedForm(Fraction(num, 2 * den), pi_exp, 0, {0: {1: Fraction(1)}})
+
+
+def _rounding_cases(bits):
+    """(name, num, den, pi_exp, exact expected value or None) at ``bits``.
+
+    The value num / den * pi^pi_exp is first rounded to P = bits + 16 bits
+    (numerator, quotient, product), then to ``bits``.  X is an even
+    ``bits``-bit mantissa; H = X * 2^16 + 2^15 is a P-bit mantissa that
+    lies exactly halfway between two ``bits``-bit ones.
+    """
+    prec = bits + 16
+    x = 1 << (bits - 1)
+    h = (x << 16) + (1 << 15)
+    return [
+        # ties at the final rounding go to the even neighbour: down from X, up from X + 1
+        ("final tie, even", h, 1, 0, x << 16),
+        ("final tie, odd", h + (1 << 16), 1, 0, (x + 2) << 16),
+        # the numerator 2H + 1 (and 32 (2H + 1)) ties at P bits and goes to the even H,
+        # which ties again at the final rounding and goes to X
+        ("P-bit tie", 2 * h + 1, 1, 0, x << 17),
+        ("P-bit tie, shifted", (2 * h + 1) << 5, 1, 0, x << 22),
+        # just above (and, negated, just below) H + 1/2: only the sticky bit of the
+        # quotient's remainder tells it from a tie, and it rounds to H + 1, then to X + 1
+        ("sticky quotient", 1, (1 << 3 * prec) // (2 * h + 1), 0, Fraction(x + 1, 1 << 3 * prec - 17)),
+        ("sticky quotient, negative", -1, (1 << 3 * prec) // (2 * h + 1), 0, Fraction(-x - 1, 1 << 3 * prec - 17)),
+        # all-ones mantissas that round up into a new bit: at the final rounding,
+        # at P bits, and in the quotient
+        ("carry, final", (1 << prec) - 1, 1, 0, 1 << prec),
+        ("carry, P bits", (1 << prec + 1) - 1, 1, 0, 1 << prec + 1),
+        ("carry, quotient", 1, (1 << 3 * prec) // ((1 << prec + 1) - 1), 0, Fraction(1, 1 << 2 * prec - 1)),
+        ("carry, negative", -((1 << prec) - 1), 3, 0, None),
+        ("negative, pi", -(2 * h + 1), 7, 5, None),
+        ("10 000-bit numerator", 3**6400, 5**2000 + 2, 3, None),
+        ("10 000-bit numerator, negative", -(3**6400 + 1), 7**1500, 0, None),
+    ]
+
+
+class TestRounding:
+    """Constructed cases where a wrong rounding step changes the last bit."""
+
+    @pytest.mark.parametrize("bits", PRECISIONS)
+    def test_constructed_cases(self, bits):
+        for name, num, den, pi_exp, expected in _rounding_cases(bits):
+            form = _ratio_form(num, den, pi_exp)
+            got = evaluate_closed_form(form, 3, bits)
+            assert got._mpf_ == ref_closed_form(form, 3, bits)._mpf_, (name, bits)
+            if expected is not None:
+                sign, man, exp, _ = got._mpf_
+                assert (-1) ** sign * man * Fraction(2) ** exp == expected, (name, bits)
+
+    def test_form_vanishing_at_prime_k(self):
+        # J_2 - (k + 1) J_1 is zero at every prime k and nonzero at k = 4
+        form = ClosedForm(Fraction(1, 3), 2, 1, {0: {2: Fraction(1), 1: Fraction(-1)}, 1: {1: Fraction(-1)}})
+        for k in (3, 5, 7, 99991, 999983, 10**6 + 3):
+            for bits in PRECISIONS:
+                got = evaluate_closed_form(form, k, bits)
+                assert got == 0 and got._mpf_ == ref_closed_form(form, k, bits)._mpf_, (k, bits)
+        for k in (4, 30, 2**20):
+            for bits in PRECISIONS:
+                got = evaluate_closed_form(form, k, bits)
+                assert got != 0 and got._mpf_ == ref_closed_form(form, k, bits)._mpf_, (k, bits)
+
+
+class TestModulusTable:
+    """Every evaluation at one k shares k's factorization and Jordan table."""
+
+    def test_values_do_not_depend_on_order(self):
+        # 12 and 18 share their primes but not k / rad k, and so do 2^20 and 2^21;
+        # two passes over MODULI (17 moduli) also evict every entry once
+        multiplicative._modulus.cache_clear()
+        form = mean_square_odd(5)
+        combo = sin_sum_exact(20)
+        for k in (12, 18, 12, 2**20, 2**21, 2**20, 18, 2**21, *MODULI, *MODULI):
+            assert evaluate_closed_form(form, k)._mpf_ == ref_closed_form(form, k, 128)._mpf_, k
+            assert evaluate_jordan(combo, k) == ref_combo(combo, k), k
+            assert jordan_totient(3, k) == ref_jordan(3, k), k
+            assert euler_phi(k) == ref_jordan(1, k), k
+
+    def test_one_factorization_per_modulus(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        multiplicative._modulus.cache_clear()
+        monkeypatch.setattr(multiplicative, "factorize", counted)
+        k = 99990
+        for form in mean_square_odd(1):
+            evaluate_closed_form(form, k)
+        evaluate_jordan(sin_sum_exact(30), k)
+        evaluate_laurent({-2: {4: Fraction(1, 3)}}, k)
+        jordan_totient(7, k)
+        euler_phi(k)
+        assert calls == [k]
+
+    def test_float_modulus_has_its_own_entry(self):
+        multiplicative._modulus.cache_clear()
+        assert jordan_totient(2, 12.0) == 96
+        value = evaluate_jordan({2: Fraction(1)}, 12)
+        assert value == 96 and type(value.numerator) is int
 
 
 SINE_ORDERS = range(0, 42, 2)

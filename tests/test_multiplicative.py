@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from meansq import multiplicative
 from meansq.multiplicative import coprime_residues, euler_phi, factorize, jordan_totient
 
 
@@ -42,6 +43,11 @@ class TestFactorize:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_prime_table_is_the_primes_below_1000(self):
+        trial = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+        assert len(trial) == 168
+        assert multiplicative._SMALL_PRIMES == trial
 
 
 class TestJordanTotient:

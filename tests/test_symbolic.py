@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +69,23 @@ class TestEvaluation:
             evaluate_laurent({-2: {1: F(1)}}, k)
         with pytest.raises(ValueError, match=f"evaluate_jordan: k must be >= 1, got {k}"):
             evaluate_jordan({1: F(1)}, k)
+
+    def test_index_below_one_names_the_evaluator(self):
+        form = ClosedForm(F(1), 2, 1, {0: {0: F(1), 2: F(1)}})
+        for index in (0, -2):
+            with pytest.raises(ValueError, match=f"evaluate_jordan: Jordan index must be >= 1, got {index}"):
+                evaluate_jordan({index: F(1)}, 5)
+            with pytest.raises(ValueError, match=f"evaluate_laurent: Jordan index must be >= 1, got {index}"):
+                evaluate_laurent({index: {index: F(1)}}, 5)
+        with pytest.raises(ValueError, match="evaluate_closed_form: Jordan index must be >= 1, got 0"):
+            evaluate_closed_form(form, 5)
+
+    @pytest.mark.parametrize("bits", [53.5, 128.0, "128", None, 52, 0])
+    def test_precision_must_be_an_integer_of_53_or_more(self, bits):
+        form = ClosedForm(F(1), 2, 1, {0: {2: F(1)}})
+        message = f"evaluate_closed_form: precision_bits must be an integer >= 53, got {bits!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_closed_form(form, 10, bits)
 
     def test_ring_homomorphism(self):
         rng = random.Random(7001)
