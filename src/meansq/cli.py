@@ -288,7 +288,8 @@ _COMMANDS = {
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """The library's integer rule (``multiplicative._check_int``): an int, not a bool."""
+    return type(value) is int
 
 
 # Each kind of option: the config values it takes, how to say so, how a value

@@ -21,6 +21,8 @@ import math
 from fractions import Fraction
 from functools import cache
 
+from .multiplicative import _check_int
+
 __all__ = [
     "binomial",
     "factorial",
@@ -34,8 +36,7 @@ def binomial(n: int, k: int) -> Fraction:
 
     The out-of-range convention keeps guards out of deeply nested sums.
     """
-    if n < 0:
-        raise ValueError(f"binomial: n must be >= 0, got {n}")
+    _check_int("binomial", "n", n, 0)
     if k < 0 or k > n:
         return Fraction(0)
     return Fraction(math.comb(n, k))
@@ -43,8 +44,7 @@ def binomial(n: int, k: int) -> Fraction:
 
 def factorial(n: int) -> Fraction:
     """n! as a Fraction."""
-    if n < 0:
-        raise ValueError(f"factorial: n must be >= 0, got {n}")
+    _check_int("factorial", "n", n, 0)
     return Fraction(math.factorial(n))
 
 
@@ -59,8 +59,7 @@ def bernoulli(n: int) -> Fraction:
     B_1 matters: the mean-square sums pair B_{q} against alternating binomial
     sums that cancel exactly only in this convention.
     """
-    if n < 0:
-        raise ValueError(f"bernoulli: n must be >= 0, got {n}")
+    _check_int("bernoulli", "n", n, 0)
     while len(_BERNOULLI) <= n:
         m = len(_BERNOULLI)
         # sum_{q=0}^{m} C(m+1, q) B_q = 0  =>  B_m = -sum_{q<m}/C(m+1, m),
@@ -73,7 +72,8 @@ def bernoulli(n: int) -> Fraction:
 
 def _bernoulli_ints(n: int) -> tuple[list[int], int]:
     """B_0..B_n as integer numerators over one denominator, the lcm of theirs."""
-    bs = [bernoulli(q) for q in range(n + 1)]
+    bernoulli(n)
+    bs = _BERNOULLI[: n + 1]
     den = math.lcm(*[b.denominator for b in bs])
     return [b.numerator * (den // b.denominator) for b in bs], den
 
@@ -93,9 +93,9 @@ def deriv_coeff(q: int, j: int) -> Fraction:
     exponential sums over a full period into finite combinations of powers
     of 1/(e^(2*pi*i*m/k) - 1).
     """
-    if q < 0:
-        raise ValueError(f"deriv_coeff: q must be >= 0, got {q}")
-    if j < 1 or j > q + 1:
+    _check_int("deriv_coeff", "q", q, 0)
+    _check_int("deriv_coeff", "j", j, 1)
+    if j > q + 1:
         raise ValueError(f"deriv_coeff: j must be in [1, {q + 1}], got {j}")
     return Fraction(_deriv_int(q, j))
 

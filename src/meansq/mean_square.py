@@ -14,18 +14,19 @@ Below the published values everything is a scalar table keyed by
   coefficients), and the paired product sum of powers p and q is the
   convolution of two such tables;
 * a sigma block is the convolution of two Bernoulli-weighted power sums,
-  each the integer cells of its nonzero weights W_e = C(r, e) P(e, min(q_max,
-  e - 1)), reflected (-1)^(r+e+1) W_e, with P(e, m) = sum_{q <= m} C(e, q) B_q
+  each the integer cells of its nonzero weights W_e = C(r, e) P(e, e - 1),
+  reflected (-1)^(r+e+1) W_e, with P(e, m) = sum_{q <= m} C(e, q) B_q
   (``exact._bernoulli_weights``), over the lcm of the Bernoulli denominators,
   so the convolution multiplies only ``int``s and builds no Jordan combination;
 * ``sine_sums._expand_laurent`` turns that table and its denominator into a
   ``KLaurent``, expanding one Jordan combination per k-exponent and forming
   one ``Fraction`` per published coefficient.
 
-One template, ``_sigma(kind, r, q_max)``, builds all six blocks.  The
-unprimed names take r = 2h + 1 with q1, q2 <= 2h (odd case), the primed
-names r = 2h with q1, q2 <= 2h - 2 (even case); the closed forms take
-q_max = r - 1 for both (B_(r-1) = 0 for even r >= 4).  The kind picks:
+One template, ``_sigma(kind, r)``, builds all six blocks, one cached block
+per (kind, rank), with q1, q2 <= q_max = r - 1.  The unprimed names take
+r = 2h + 1 (odd case), the primed names r = 2h (even case), where the
+paper's q1, q2 <= 2h - 2 gives the same block: B_(r-1) = 0 for even r >= 4.
+The closed forms read the same blocks.  The kind picks:
 
 * ``single``    (``sigma0`` / ``sigma0_prime``) -- the single-exponential
   block: phi(k)/2 at r = 1 and identically zero above, which the exact
@@ -50,6 +51,7 @@ from fractions import Fraction
 from functools import cache
 
 from .exact import _bernoulli_weights, _weighted_cells, bernoulli, factorial
+from .multiplicative import _check_int
 from .sine_sums import _expand_laurent
 from .symbolic import ClosedForm, KLaurent, _frozen, _thawed, evaluate_laurent, kl_shift
 
@@ -119,23 +121,21 @@ def _exp_product(p: int, q: int) -> Mapping:
 
 def exp_product_real(p: int, q: int) -> KLaurent:
     """The memoized product sum, as a fresh KLaurent."""
-    if p < 1 or q < 1:
-        raise ValueError(f"exp_product_real: p, q must be >= 1, got ({p}, {q})")
+    _check_int("exp_product_real", "p", p, 1)
+    _check_int("exp_product_real", "q", q, 1)
     return _thawed(_exp_product(p, q))
 
 
 def power_sum_real(p: int) -> KLaurent:
-    if p < 1:
-        raise ValueError(f"power_sum_real: p must be >= 1, got {p}")
+    _check_int("power_sum_real", "p", p, 1)
     return _expand_laurent(_power_sum(p))
 
 
 def realjs_rhs_exact(p: int, q: int, k: int) -> Fraction:
     """Exact value at k of the closed form of the paired double sum."""
-    if p < 1 or q < 1:
-        raise ValueError(f"realjs_rhs_exact: p, q must be >= 1, got ({p}, {q})")
-    if k < 3:
-        raise ValueError(f"realjs_rhs_exact: k must be >= 3, got {k}")
+    _check_int("realjs_rhs_exact", "p", p, 1)
+    _check_int("realjs_rhs_exact", "q", q, 1)
+    _check_int("realjs_rhs_exact", "k", k, 3)
     return evaluate_laurent(_exp_product(p, q), k)
 
 
@@ -144,28 +144,28 @@ def realjs_rhs_exact(p: int, q: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 @cache
-def _sigma(kind: str, r: int, q_max: int) -> Mapping:
+def _sigma(kind: str, r: int) -> Mapping:
     """Sigma block of rank r, expanded and frozen.
 
-    With S(p) the power sum and U = sum_{q <= q_max} B_q C(r, q) k^q S(r-q),
+    With S(p) the power sum and U = sum_{q <= r-1} B_q C(r, q) k^q S(r-q),
     where a product of two power sums means the paired product sum (table
     convolution, as in ``_exp_product``):
 
     * ``direct``    -- k^(-2r) U * U;
     * ``reflected`` -- k^(-2r) U * V, V the reflected form of U, its weights
                        signed by (-1)^(r+e+1) (``exact._bernoulli_weights``);
-    * ``single``    -- -P(r, q_max) k^(-r) U; P(r, q_max) is U's W_r, as q_max < r.
+    * ``single``    -- -P(r, r-1) k^(-r) U; P(r, r-1) is U's W_r.
 
     U and V are integer tables over one Bernoulli denominator, so the
     convolution multiplies only ints; the scalars are collected per
     (k-exponent, order of R) and expanded once at the end.
     """
-    weights, bden = _bernoulli_weights(r, q_max)
+    weights, bden = _bernoulli_weights(r, r - 1)
     if kind == "single":
         table = _weighted_cells(r, weights, shift=-r, scale=-weights[r])
     else:
         first = _weighted_cells(r, weights)
-        second = first if kind == "direct" else _weighted_cells(r, _bernoulli_weights(r, q_max, reflected=True)[0])
+        second = first if kind == "direct" else _weighted_cells(r, _bernoulli_weights(r, r - 1, reflected=True)[0])
         table = _convolve(first, second, shift=-2 * r)
     return _frozen(_expand_laurent(table, bden * bden))
 
@@ -176,16 +176,14 @@ def sigma2(h: int) -> KLaurent:
     sum over q1, q2 in [0, 2h] of B_{q1} B_{q2} C(2h+1, q1) C(2h+1, q2)
     k^(q1+q2-4h-2) times the (2h+1-q1, 2h+1-q2) product sum.
     """
-    if h < 1:
-        raise ValueError(f"sigma2: h must be >= 1, got {h}")
-    return _thawed(_sigma("direct", 2 * h + 1, 2 * h))
+    _check_int("sigma2", "h", h, 1)
+    return _thawed(_sigma("direct", 2 * h + 1))
 
 
 def sigma1(h: int) -> KLaurent:
     """Reflected block of the odd case."""
-    if h < 1:
-        raise ValueError(f"sigma1: h must be >= 1, got {h}")
-    return _thawed(_sigma("reflected", 2 * h + 1, 2 * h))
+    _check_int("sigma1", "h", h, 1)
+    return _thawed(_sigma("reflected", 2 * h + 1))
 
 
 def sigma0(h: int) -> KLaurent:
@@ -194,30 +192,26 @@ def sigma0(h: int) -> KLaurent:
     Equals {0: {1: 1/2}} (i.e. phi(k)/2) for h = 0 and the empty Laurent for
     h >= 1: the inner Bernoulli-binomial sum over q2 is exactly zero then.
     """
-    if h < 0:
-        raise ValueError(f"sigma0: h must be >= 0, got {h}")
-    return _thawed(_sigma("single", 2 * h + 1, 2 * h))
+    _check_int("sigma0", "h", h, 0)
+    return _thawed(_sigma("single", 2 * h + 1))
 
 
 def sigma2_prime(h: int) -> KLaurent:
-    """Direct product block of the even case (q1, q2 stop at 2h - 2)."""
-    if h < 2:
-        raise ValueError(f"sigma2_prime: h must be >= 2, got {h}")
-    return _thawed(_sigma("direct", 2 * h, 2 * h - 2))
+    """Direct product block of the even case (q1, q2 stop at 2h - 1; B_(2h-1) = 0)."""
+    _check_int("sigma2_prime", "h", h, 2)
+    return _thawed(_sigma("direct", 2 * h))
 
 
 def sigma1_prime(h: int) -> KLaurent:
     """Reflected block of the even case."""
-    if h < 2:
-        raise ValueError(f"sigma1_prime: h must be >= 2, got {h}")
-    return _thawed(_sigma("reflected", 2 * h, 2 * h - 2))
+    _check_int("sigma1_prime", "h", h, 2)
+    return _thawed(_sigma("reflected", 2 * h))
 
 
 def sigma0_prime(h: int) -> KLaurent:
     """Single-exponential block of the even case; empty for every h >= 2."""
-    if h < 2:
-        raise ValueError(f"sigma0_prime: h must be >= 2, got {h}")
-    return _thawed(_sigma("single", 2 * h, 2 * h - 2))
+    _check_int("sigma0_prime", "h", h, 2)
+    return _thawed(_sigma("single", 2 * h))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +231,8 @@ def mean_square_odd(r: int) -> ClosedForm | tuple[ClosedForm, ClosedForm]:
     phi_exp = 1 times an explicit J_1 so that ClosedForm needs no phi^2
     field.  Every call with the same r returns the same immutable object.
     """
-    if r < 1 or r % 2 == 0:
+    _check_int("mean_square_odd", "r", r, 1)
+    if r % 2 == 0:
         raise ValueError(f"mean_square_odd: r must be odd and >= 1, got {r}")
     return _mean_square(r)
 
@@ -248,7 +243,8 @@ def mean_square_even(r: int) -> ClosedForm:
     2^(2r-2) / (r!)^2 * pi^(2r) * phi(k) * k^(-2) times the direct product
     block.  r = 2 is rejected: the construction needs r = 2h with h >= 2.
     """
-    if r % 2 or r < 4:
+    _check_int("mean_square_even", "r", r, 4)
+    if r % 2:
         raise ValueError(
             f"mean_square_even: r must be even and >= 4 (r = 2h with h >= 2), got {r}"
         )
@@ -258,8 +254,8 @@ def mean_square_even(r: int) -> ClosedForm:
 @cache
 def _mean_square(r: int) -> ClosedForm | tuple[ClosedForm, ClosedForm]:
     """Both parities: (-1)^r 4^(r-1) / (r!)^2 * pi^(2r) * phi(k) * k^(-2) times
-    the direct block of rank r, q_max = r - 1; r = 1 adds the correction."""
-    block = _sigma("direct", r, r - 1)
+    the direct block of rank r; r = 1 adds the correction."""
+    block = _sigma("direct", r)
     scalar = (-1) ** r * Fraction(2) ** (2 * r - 2) / (factorial(r) ** 2)
     main_form = ClosedForm(scalar=scalar, pi_exp=2 * r, phi_exp=1, body=kl_shift(block, -2))
     if r > 1:
@@ -271,7 +267,7 @@ def _mean_square(r: int) -> ClosedForm | tuple[ClosedForm, ClosedForm]:
         scalar=Fraction(1, 2),
         pi_exp=2,
         phi_exp=1,
-        body=kl_shift(_sigma("single", 1, 0), -2),
+        body=kl_shift(_sigma("single", 1), -2),
     )
     return main_form, correction
 
@@ -282,7 +278,8 @@ def l_principal_closed_form(r: int) -> ClosedForm:
     zeta(r) = (-1)^(r/2+1) (2*pi)^r B_r / (2 r!), so the form is
     scalar = (-1)^(r/2+1) 2^r B_r / (2 r!), pi_exp = r, body = k^(-r) J_r.
     """
-    if r < 2 or r % 2:
+    _check_int("l_principal_closed_form", "r", r, 2)
+    if r % 2:
         raise ValueError(f"l_principal_closed_form: r must be even and >= 2, got {r}")
     scalar = (-1) ** (r // 2 + 1) * Fraction(2) ** r * bernoulli(r) / (2 * factorial(r))
     return ClosedForm(scalar=scalar, pi_exp=r, phi_exp=0, body={-r: {r: Fraction(1)}})

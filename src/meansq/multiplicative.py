@@ -1,4 +1,5 @@
-"""Multiplicative arithmetic functions over concrete moduli.
+"""Multiplicative arithmetic functions over concrete moduli, and the
+library's one rule for integer arguments, ``_check_int``.
 
 The last 16 moduli seen each keep one entry: k / rad k, the primes of k and
 the J_s(k) formed so far.  Every evaluation at k reads and fills that entry,
@@ -21,6 +22,20 @@ __all__ = [
     "euler_phi",
     "coprime_residues",
 ]
+
+
+def _check_int(function: str, param: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an int (not a bool) of at least ``least``.
+
+    Every integer argument of the library that has a least value is checked
+    here, so one rule says what an integer is.  The message names the
+    function and the parameter: ``<function>: <param> must be >= <least>,
+    got <value>`` for an int below its least, ``<function>: <param> must be
+    an integer >= <least>, got <value!r>`` for anything else.
+    """
+    if type(value) is not int or value < least:
+        kind = "" if type(value) is int else "an integer "
+        raise ValueError(f"{function}: {param} must be {kind}>= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +70,7 @@ def factorize(n: int) -> Factorization:
     by the table of primes below 1000 first, which settles every n < 10^6,
     and only past the table goes on to the odd numbers from 1001.
     """
-    if n < 1:
-        raise ValueError(f"factorize: n must be >= 1, got {n}")
+    _check_int("factorize", "n", n, 1)
     factors = []
     rest = n
     for p in chain(_SMALL_PRIMES, count(1001, 2)):
@@ -73,12 +87,12 @@ def factorize(n: int) -> Factorization:
     return Factorization(factors=tuple(factors))
 
 
-@functools.lru_cache(maxsize=16, typed=True)
+@functools.lru_cache(maxsize=16)
 def _modulus(k: int) -> tuple[int, tuple[int, ...], dict[int, int]]:
     """(k / rad k, the primes of k, {s: J_s(k)} filled by ``_jordan_table``).
 
-    One entry per modulus, for the last 16 moduli asked for; keys are typed,
-    so a float k never shares the integer k's table.
+    One entry per modulus, for the last 16 moduli asked for; every caller
+    has passed k through ``_check_int``, so k is always an int.
     """
     primes = factorize(k).primes
     return k // math.prod(primes), primes, {}
@@ -111,20 +125,18 @@ def jordan_totient(s: int, k: int) -> Fraction:
     Returned as a Fraction (the value is always an integer) because it feeds
     straight into rational linear combinations.
     """
-    if s < 1:
-        raise ValueError(f"jordan_totient: s must be >= 1, got {s}")
-    if k < 1:
-        raise ValueError(f"jordan_totient: k must be >= 1, got {k}")
+    _check_int("jordan_totient", "s", s, 1)
+    _check_int("jordan_totient", "k", k, 1)
     return Fraction(_jordan_table((s,), k)[s])
 
 
 def euler_phi(k: int) -> Fraction:
     """Euler's totient, phi(k) = J_1(k)."""
+    _check_int("euler_phi", "k", k, 1)
     return jordan_totient(1, k)
 
 
 def coprime_residues(k: int) -> list[int]:
     """Ascending list of m in [1, k] with gcd(m, k) = 1."""
-    if k < 1:
-        raise ValueError(f"coprime_residues: k must be >= 1, got {k}")
+    _check_int("coprime_residues", "k", k, 1)
     return [m for m in range(1, k + 1) if math.gcd(m, k) == 1]

@@ -40,7 +40,7 @@ from mpmath import mp
 from mpmath.libmp import MPZ
 
 from .exact import binomial, deriv_coeff
-from .multiplicative import coprime_residues, euler_phi, factorize
+from .multiplicative import _check_int, coprime_residues, euler_phi, factorize
 
 __all__ = [
     "CharacterGroup",
@@ -150,8 +150,7 @@ def _prime_power_factors(p: int, a: int) -> list[tuple[int, int]]:
 
 def character_group(k: int) -> CharacterGroup:
     """Decomposition of (Z/kZ)^x, prime power by prime power, glued by CRT."""
-    if k < 1:
-        raise ValueError(f"character_group: k must be >= 1, got {k}")
+    _check_int("character_group", "k", k, 1)
     factors: list[tuple[int, int]] = []
     for p, a in factorize(k).factors:
         pa = p**a
@@ -183,8 +182,7 @@ def characters_with_parity(k: int, parity: str) -> list[DirichletCharacter]:
     Exactly phi(k)/2 of each for k >= 3.  Moduli 1 and 2 are rejected: every
     character there is even and the parity split is meaningless.
     """
-    if k < 3:
-        raise ValueError(f"characters_with_parity: k must be >= 3, got {k}")
+    _check_int("characters_with_parity", "k", k, 3)
     if parity not in ("even", "odd"):
         raise ValueError(f"characters_with_parity: parity must be 'even' or 'odd', got {parity!r}")
     group = character_group(k)
@@ -213,10 +211,8 @@ def l_value_numeric(r: int, chi: DirichletCharacter, precision_bits: int = 128):
     -(1/k) sum_a chi(a) psi(a/k) with psi the digamma function, again a
     finite combination.  Tail-truncated series are never used.
     """
-    if precision_bits < 53:
-        raise ValueError(f"l_value_numeric: precision_bits must be >= 53, got {precision_bits}")
-    if r < 1:
-        raise ValueError(f"l_value_numeric: r must be >= 1, got {r}")
+    _check_int("l_value_numeric", "precision_bits", precision_bits, 53)
+    _check_int("l_value_numeric", "r", r, 1)
     if r == 1 and not chi.is_odd:
         raise ValueError("l_value_numeric: r = 1 needs an odd character (the series only converges conditionally, and only the digamma route applies)")
     k = chi.group.modulus
@@ -474,12 +470,9 @@ def mean_square_numeric(r: int, k: int, precision_bits: int = 128):
     result is bit for bit the serial one.  It stays serial on one CPU,
     without ``fork``, or while another thread is alive.
     """
-    if k < 3:
-        raise ValueError(f"mean_square_numeric: k must be >= 3, got {k}")
-    if r < 1:
-        raise ValueError(f"mean_square_numeric: r must be >= 1, got {r}")
-    if precision_bits < 53:
-        raise ValueError(f"mean_square_numeric: precision_bits must be >= 53, got {precision_bits}")
+    _check_int("mean_square_numeric", "k", k, 3)
+    _check_int("mean_square_numeric", "r", r, 1)
+    _check_int("mean_square_numeric", "precision_bits", precision_bits, 53)
     eps = -1 if r % 2 else 1
     with mp.workprec(precision_bits + 2 * _GUARD_BITS):
         z = dict(zip(coprime_residues(k), _hurwitz_values(r, k)))
@@ -507,12 +500,10 @@ def exp_sum_direct(p: int, q: int, k: int, precision_bits: int = 128):
     (sum_{s<k} s^q e^(2*pi*i*m*s/k)).  Its real part is the direct side of
     the identity whose exact side is ``realjs_rhs_exact(p, q, k)``.
     """
-    if p < 1 or q < 1:
-        raise ValueError(f"exp_sum_direct: p, q must be >= 1, got ({p}, {q})")
-    if k < 3:
-        raise ValueError(f"exp_sum_direct: k must be >= 3, got {k}")
-    if precision_bits < 53:
-        raise ValueError(f"exp_sum_direct: precision_bits must be >= 53, got {precision_bits}")
+    _check_int("exp_sum_direct", "p", p, 1)
+    _check_int("exp_sum_direct", "q", q, 1)
+    _check_int("exp_sum_direct", "k", k, 3)
+    _check_int("exp_sum_direct", "precision_bits", precision_bits, 53)
     with mp.workprec(precision_bits + _GUARD_BITS):
         total = mp.mpc(0)
         for m in coprime_residues(k):
@@ -538,14 +529,11 @@ def power_exp_identity_check(
     True iff they agree to ``tol`` relative at the given precision; an mpf
     ``tol`` may lie below the smallest float.
     """
-    if n < 1:
-        raise ValueError(f"power_exp_identity_check: n must be >= 1, got {n}")
-    if k < 3:
-        raise ValueError(f"power_exp_identity_check: k must be >= 3, got {k}")
+    _check_int("power_exp_identity_check", "n", n, 1)
+    _check_int("power_exp_identity_check", "k", k, 3)
     if math.gcd(m, k) != 1:
         raise ValueError(f"power_exp_identity_check: gcd(m, k) must be 1, got m={m}, k={k}")
-    if precision_bits < 53:
-        raise ValueError(f"power_exp_identity_check: precision_bits must be >= 53, got {precision_bits}")
+    _check_int("power_exp_identity_check", "precision_bits", precision_bits, 53)
     with mp.workprec(precision_bits + _GUARD_BITS):
         lhs = mp.fsum((j**n * _unit_root(m * j, k) for j in range(1, k)), absolute=False)
         w = _unit_root(m, k) - 1

@@ -53,7 +53,7 @@ from math import comb, factorial, gcd, lcm
 from mpmath import mp
 
 from .exact import _bernoulli_weights, _weighted_cells, bernoulli
-from .multiplicative import coprime_residues
+from .multiplicative import _check_int, coprime_residues
 from .symbolic import JordanCombo, KLaurent, _frozen, _keep_jordan_plan
 
 __all__ = [
@@ -169,8 +169,7 @@ def _expand_laurent(table: Mapping[tuple[int, int], int], den: int = 1,
 
 def recip_power_real_sum(n: int) -> JordanCombo:
     """Coprime-sum of Re (e^(2*pi*i*m/k) - 1)^(-n) as a Jordan combination."""
-    if n < 1:
-        raise ValueError(f"recip_power_real_sum: n must be >= 1, got {n}")
+    _check_int("recip_power_real_sum", "n", n, 1)
     return _expand_laurent({(0, n): 1}).get(0, {})
 
 
@@ -198,8 +197,7 @@ def sin_sum_exact(n: int) -> JordanCombo:
     and each call returns a fresh dict.  Odd n is rejected: every consumer
     here needs even orders only.
     """
-    if n < 0:
-        raise ValueError(f"sin_sum_exact: n must be >= 0, got {n}")
+    _check_int("sin_sum_exact", "n", n, 0)
     if n % 2:
         raise ValueError(f"sin_sum_exact: n must be even, got {n}")
     return _sin(n).copy()
@@ -212,12 +210,11 @@ def sin_sum_numeric(n: int, k: int, precision_bits: int = 128):
     (k/pi)^n, so plain double precision would lose most digits already at
     moderate n.
     """
-    if n < 0 or n % 2:
+    _check_int("sin_sum_numeric", "n", n, 0)
+    if n % 2:
         raise ValueError(f"sin_sum_numeric: n must be even and >= 0, got {n}")
-    if k < 3:
-        raise ValueError(f"sin_sum_numeric: k must be >= 3, got {k}")
-    if precision_bits < 53:
-        raise ValueError(f"sin_sum_numeric: precision_bits must be >= 53, got {precision_bits}")
+    _check_int("sin_sum_numeric", "k", k, 3)
+    _check_int("sin_sum_numeric", "precision_bits", precision_bits, 53)
     with mp.workprec(precision_bits + 32):
         total = mp.fsum(mp.sinpi(mp.mpf(m) / k) ** (-n) for m in coprime_residues(k))
     with mp.workprec(precision_bits):

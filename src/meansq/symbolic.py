@@ -49,7 +49,7 @@ from types import MappingProxyType
 from mpmath import mp
 from mpmath.libmp import MPZ
 
-from .multiplicative import _jordan_table
+from .multiplicative import _check_int, _jordan_table
 
 __all__ = [
     "JordanCombo",
@@ -189,8 +189,7 @@ def _keep_jordan_plan(combo: JordanCombo) -> None:
 
 def evaluate_jordan(combo: JordanCombo, k: int) -> Fraction:
     """sum_s coeff * J_s(k), exact."""
-    if k < 1:
-        raise ValueError(f"evaluate_jordan: k must be >= 1, got {k}")
+    _check_int("evaluate_jordan", "k", k, 1)
     kept = _JORDAN_PLANS.get(max(combo)) if combo else None
     if kept is not None and kept[0] == combo:
         return Fraction(*_plan_ratio(kept[1], k, "evaluate_jordan"))
@@ -199,8 +198,7 @@ def evaluate_jordan(combo: JordanCombo, k: int) -> Fraction:
 
 def evaluate_laurent(laurent: KLaurent, k: int) -> Fraction:
     """sum_e k^e * combo_e(k), exact."""
-    if k < 1:
-        raise ValueError(f"evaluate_laurent: k must be >= 1, got {k}")
+    _check_int("evaluate_laurent", "k", k, 1)
     return Fraction(*_plan_ratio(_laurent_plan(laurent), k, "evaluate_laurent"))
 
 
@@ -225,8 +223,8 @@ class ClosedForm:
     _renders: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.pi_exp < 0 or self.phi_exp < 0:
-            raise ValueError("ClosedForm: pi_exp and phi_exp must be >= 0")
+        _check_int("ClosedForm", "pi_exp", self.pi_exp, 0)
+        _check_int("ClosedForm", "phi_exp", self.phi_exp, 0)
         body = {e: {s: Fraction(c) for s, c in combo.items() if c} for e, combo in self.body.items()}
         body = {e: combo for e, combo in body.items() if combo}
         scalar = Fraction(0)
@@ -295,10 +293,8 @@ def evaluate_closed_form(form: ClosedForm, k: int, precision_bits: int = 128):
     (plus guard bits for the final multiplications); pi^pi_exp is computed
     once per (exponent, precision) and cached.
     """
-    if k < 3:
-        raise ValueError(f"evaluate_closed_form: k must be >= 3, got {k}")
-    if not isinstance(precision_bits, int) or precision_bits < 53:
-        raise ValueError(f"evaluate_closed_form: precision_bits must be an integer >= 53, got {precision_bits!r}")
+    _check_int("evaluate_closed_form", "k", k, 3)
+    _check_int("evaluate_closed_form", "precision_bits", precision_bits, 53)
     num, den = _plan_ratio(form._plan, k, "evaluate_closed_form")
     if not num:
         return mp.zero

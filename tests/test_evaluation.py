@@ -265,9 +265,16 @@ class TestModulusTable:
         euler_phi(k)
         assert calls == [k]
 
-    def test_float_modulus_has_its_own_entry(self):
+    def test_float_modulus_is_refused(self):
         multiplicative._modulus.cache_clear()
-        assert jordan_totient(2, 12.0) == 96
+        evaluate_jordan({2: Fraction(1)}, 12)
+        before = multiplicative._modulus.cache_info()
+        for k in (12.0, 12.5):
+            with pytest.raises(ValueError, match=f"jordan_totient: k must be an integer >= 1, got {k}"):
+                jordan_totient(2, k)
+            with pytest.raises(ValueError, match=f"evaluate_jordan: k must be an integer >= 1, got {k}"):
+                evaluate_jordan({2: Fraction(1)}, k)
+        assert multiplicative._modulus.cache_info() == before
         value = evaluate_jordan({2: Fraction(1)}, 12)
         assert value == 96 and type(value.numerator) is int
 

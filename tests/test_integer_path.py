@@ -168,7 +168,7 @@ def test_built_tables_hold_no_zero_cell(monkeypatch):
     for r in range(3, 62):
         fed.append(_power_sum.__wrapped__(r))
         for kind in ("single", "reflected", "direct"):
-            mean_square._sigma.__wrapped__(kind, r, r - 1 if r % 2 else r - 2)
+            mean_square._sigma.__wrapped__(kind, r)
         if r % 2 == 0:
             sine_sums._recursion_laurent(r)
     assert len(fed) == 59 * 8 + 29  # per r: power sum, 1 + 3 + 3 sigma tables, induction at even r

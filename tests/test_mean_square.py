@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from meansq import mean_square
 from meansq.mean_square import (
     exp_product_real,
     l_principal_closed_form,
@@ -111,11 +112,19 @@ class TestFinalForms:
 
     @pytest.mark.parametrize("r", range(4, 41, 2))
     def test_even_form_is_built_on_sigma2_prime(self, r):
-        # the form takes q_max = r - 1 and sigma2_prime q_max = r - 2; the
-        # term between them carries B_(r-1) = 0
+        # both read the rank-r direct block, q_max = r - 1; the paper's even
+        # case stops at q_max = r - 2, and the term between carries B_(r-1) = 0
         scalar = (-1) ** r * F(4) ** (r - 1) / F(math.factorial(r)) ** 2
         expected = ClosedForm(scalar=scalar, pi_exp=2 * r, phi_exp=1, body=kl_shift(sigma2_prime(r // 2), -2))
         assert mean_square_even(r) == expected
+
+    @pytest.mark.parametrize("h", [2, 3, 10])
+    def test_even_form_and_sigma2_prime_share_one_block(self, h):
+        mean_square._sigma.cache_clear()
+        mean_square._mean_square.cache_clear()
+        sigma2_prime(h)
+        mean_square_even(2 * h)
+        assert mean_square._sigma.cache_info().misses == 1
 
     def test_r1_pair(self):
         main_form, correction = mean_square_odd(1)

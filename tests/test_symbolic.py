@@ -83,7 +83,8 @@ class TestEvaluation:
     @pytest.mark.parametrize("bits", [53.5, 128.0, "128", None, 52, 0])
     def test_precision_must_be_an_integer_of_53_or_more(self, bits):
         form = ClosedForm(F(1), 2, 1, {0: {2: F(1)}})
-        message = f"evaluate_closed_form: precision_bits must be an integer >= 53, got {bits!r}"
+        kind = "" if type(bits) is int else "an integer "
+        message = f"evaluate_closed_form: precision_bits must be {kind}>= 53, got {bits!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             evaluate_closed_form(form, 10, bits)
 
