@@ -37,6 +37,7 @@ def binomial(n: int, k: int) -> Fraction:
     The out-of-range convention keeps guards out of deeply nested sums.
     """
     _check_int("binomial", "n", n, 0)
+    _check_int("binomial", "k", k)
     if k < 0 or k > n:
         return Fraction(0)
     return Fraction(math.comb(n, k))

@@ -1,10 +1,16 @@
 """Multiplicative arithmetic functions over concrete moduli, and the
 library's one rule for integer arguments, ``_check_int``.
 
+One trial-division routine, ``_factor``, factors every integer: the primes
+below 1000 are tried in blocks of 16, each block screened by one gcd with
+the product of its primes, so a block that holds no divisor costs one C
+call.  ``factorize`` wraps its output in a ``Factorization``.
+
 The last 16 moduli seen each keep one entry: k / rad k, the primes of k and
-the J_s(k) formed so far.  Every evaluation at k reads and fills that entry,
-so a form, a sine sum and ``jordan_totient`` at one k share one
-factorization and form each J_s(k) once.
+the J_s(k) formed so far, built in that one pass without a
+``Factorization``.  Every evaluation at k reads and fills that entry, so a
+form, a sine sum and ``jordan_totient`` at one k share one factorization
+and form each J_s(k) once.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
 
 __all__ = [
     "Factorization",
@@ -24,18 +29,21 @@ __all__ = [
 ]
 
 
-def _check_int(function: str, param: str, value, least: int) -> None:
+def _check_int(function: str, param: str, value, least: int | None = None) -> None:
     """Raise ValueError unless ``value`` is an int (not a bool) of at least ``least``.
 
-    Every integer argument of the library that has a least value is checked
-    here, so one rule says what an integer is.  The message names the
-    function and the parameter: ``<function>: <param> must be >= <least>,
-    got <value>`` for an int below its least, ``<function>: <param> must be
-    an integer >= <least>, got <value!r>`` for anything else.
+    Every integer argument and integer table key of the library is checked
+    here, so one rule says what an integer is; ``least=None`` allows any
+    int.  The message names the function and the parameter: ``<function>:
+    <param> must be >= <least>, got <value>`` for an int below its least,
+    ``<function>: <param> must be an integer >= <least>, got <value!r>``
+    for anything else (``must be an integer, got <value!r>`` with no least).
     """
-    if type(value) is not int or value < least:
-        kind = "" if type(value) is int else "an integer "
-        raise ValueError(f"{function}: {param} must be {kind}>= {least}, got {value!r}")
+    if type(value) is not int:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{function}: {param} must be an integer{bound}, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{function}: {param} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -58,44 +66,91 @@ def _sieve(n: int) -> tuple[int, ...]:
     return tuple([p for p in range(2, n) if not composite[p]])
 
 
-# The primes below 1000, the first divisors ``factorize`` tries.
+# The primes below 1000, the first divisors tried, cut into blocks of 16:
+# (first prime squared, the block's primes, their product).  One gcd with the
+# product tells whether any prime of a block divides what is left of n.
 _SMALL_PRIMES = _sieve(1000)
+_PRIME_BLOCKS = tuple([
+    (block[0] ** 2, block, math.prod(block))
+    for block in (_SMALL_PRIMES[i : i + 16] for i in range(0, len(_SMALL_PRIMES), 16))
+])
+
+
+def _factor(n: int) -> tuple[list[int], list[int], int]:
+    """(the primes of n ascending, their exponents, n / rad n) by trial division.
+
+    The one factorization routine of the package; ``factorize`` and the
+    per-modulus entry are both built from it.  Each block of the primes
+    below 1000 is screened by one ``math.gcd`` with its product, and only
+    the primes of a block sharing a factor with n are tried, until that gcd
+    is used up.  The scan stops at the first block whose first prime squared
+    exceeds what is left of n; that rest is then 1 or a prime.  This settles
+    every n < 10^6.  Past the table it goes on with the odd numbers from
+    1001.  n / rad n is multiplied up from every repeated division.
+    """
+    primes = []
+    exponents = []
+    m = 1
+    rest = n
+    for square, block, product in _PRIME_BLOCKS:
+        if square > rest:
+            break
+        g = math.gcd(rest, product)
+        if g > 1:
+            for p in block:
+                if g % p == 0:
+                    rest //= p
+                    e = 1
+                    while rest % p == 0:
+                        rest //= p
+                        m *= p
+                        e += 1
+                    primes.append(p)
+                    exponents.append(e)
+                    g //= p
+                    if g == 1:
+                        break
+    else:
+        p = 1001
+        while p * p <= rest:
+            if rest % p == 0:
+                rest //= p
+                e = 1
+                while rest % p == 0:
+                    rest //= p
+                    m *= p
+                    e += 1
+                primes.append(p)
+                exponents.append(e)
+            p += 2
+    if rest > 1:
+        primes.append(rest)
+        exponents.append(1)
+    return primes, exponents, m
 
 
 def factorize(n: int) -> Factorization:
     """Complete prime factorization by trial division; n = 1 gives ().
 
     Moduli here are user-entered (desk scale, <= ~10^6), so trial division
-    is plenty and keeps this deterministic and dependency-free.  It divides
-    by the table of primes below 1000 first, which settles every n < 10^6,
-    and only past the table goes on to the odd numbers from 1001.
+    is plenty and keeps this deterministic and dependency-free.  See
+    ``_factor`` for the block screen.
     """
     _check_int("factorize", "n", n, 1)
-    factors = []
-    rest = n
-    for p in chain(_SMALL_PRIMES, count(1001, 2)):
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            factors.append((p, e))
-    if rest > 1:
-        factors.append((rest, 1))
-    return Factorization(factors=tuple(factors))
+    primes, exponents, _ = _factor(n)
+    return Factorization(factors=tuple(zip(primes, exponents)))
 
 
 @functools.lru_cache(maxsize=16)
 def _modulus(k: int) -> tuple[int, tuple[int, ...], dict[int, int]]:
     """(k / rad k, the primes of k, {s: J_s(k)} filled by ``_jordan_table``).
 
-    One entry per modulus, for the last 16 moduli asked for; every caller
-    has passed k through ``_check_int``, so k is always an int.
+    One entry per modulus, for the last 16 moduli asked for, built straight
+    from ``_factor`` with no ``Factorization`` in between; every caller has
+    passed k through ``_check_int``, so k is always an int.
     """
-    primes = factorize(k).primes
-    return k // math.prod(primes), primes, {}
+    primes, _, m = _factor(k)
+    return m, tuple(primes), {}
 
 
 def _jordan_table(indices, k: int) -> dict[int, int]:

@@ -530,6 +530,7 @@ def power_exp_identity_check(
     ``tol`` may lie below the smallest float.
     """
     _check_int("power_exp_identity_check", "n", n, 1)
+    _check_int("power_exp_identity_check", "m", m)
     _check_int("power_exp_identity_check", "k", k, 3)
     if math.gcd(m, k) != 1:
         raise ValueError(f"power_exp_identity_check: gcd(m, k) must be 1, got m={m}, k={k}")

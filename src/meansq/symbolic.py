@@ -105,6 +105,7 @@ def kl_add(a: KLaurent, b: KLaurent) -> KLaurent:
 
 def kl_shift(a: KLaurent, t: int) -> KLaurent:
     """Multiply by k^t (shift every exponent by t)."""
+    _check_int("kl_shift", "t", t)
     return {e + t: dict(combo) for e, combo in a.items()}
 
 
@@ -118,7 +119,7 @@ def _thawed(laurent: Mapping) -> KLaurent:
     return {e: combo.copy() for e, combo in laurent.items()}
 
 
-def _build_plan(laurent: Mapping, scalar: Fraction | int, phi_exp: int, den: int = 1) -> tuple:
+def _build_plan(laurent: Mapping, scalar: Fraction | int, phi_exp: int, caller: str, den: int = 1) -> tuple:
     """Integer evaluation plan of scalar * phi(k)^phi_exp * laurent(k).
 
     The plan is (num, den, phi_exp, low, rows, indices): the scalar as
@@ -127,8 +128,14 @@ def _build_plan(laurent: Mapping, scalar: Fraction | int, phi_exp: int, den: int
     1 when phi_exp > 0), so one Jordan table serves the whole evaluation.
     Every coefficient times ``den`` must be an integer: a canonical
     ``ClosedForm`` body needs den = 1, any other Laurent the lcm of its
-    denominators, which goes into the scalar's denominator.
+    denominators, which goes into the scalar's denominator.  Every
+    k-exponent and Jordan index must be an int, or a ``ValueError`` names
+    ``caller``: this is where every table turns into integers.
     """
+    for e, combo in laurent.items():
+        _check_int(caller, "k-exponent", e)
+        for s in combo:
+            _check_int(caller, "Jordan index", s)
     low = min(laurent) if laurent else 0
     rows = tuple([
         (e - low, tuple([(s, c.numerator * (den // c.denominator)) for s, c in combo.items()]))
@@ -140,11 +147,12 @@ def _build_plan(laurent: Mapping, scalar: Fraction | int, phi_exp: int, den: int
     return scalar.numerator, scalar.denominator * den, phi_exp, low, rows, tuple(sorted(indices))
 
 
-def _laurent_plan(laurent: KLaurent) -> tuple:
+def _laurent_plan(laurent: KLaurent, caller: str) -> tuple:
     """The plan of a Laurent with any rational coefficients, over their lcm."""
     # A list, not a generator: on CPython 3.11, unpacking generators of
     # varying length into arguments left ~1 MB more peak RSS in a warm session.
-    return _build_plan(laurent, 1, 0, math.lcm(*[c.denominator for combo in laurent.values() for c in combo.values()]))
+    den = math.lcm(*[c.denominator for combo in laurent.values() for c in combo.values()])
+    return _build_plan(laurent, 1, 0, caller, den)
 
 
 def _plan_ratio(plan: tuple, k: int, caller: str) -> tuple[int, int]:
@@ -184,22 +192,30 @@ def _keep_jordan_plan(combo: JordanCombo) -> None:
     Copies of the cached value share its ``Fraction`` objects, so the
     equality test that guards the plan is an identity check per coefficient.
     """
-    _JORDAN_PLANS[max(combo)] = combo, _laurent_plan({0: combo})
+    _JORDAN_PLANS[max(combo)] = combo, _laurent_plan({0: combo}, "sin_sum_exact")
 
 
 def evaluate_jordan(combo: JordanCombo, k: int) -> Fraction:
-    """sum_s coeff * J_s(k), exact."""
+    """sum_s coeff * J_s(k), exact.
+
+    A combo equal to a cached sine sum reuses that sum's plan without the
+    key check of ``_build_plan``, so a warm evaluation does not pay for it.
+    Only an int top index is looked up, so a combo whose top key is a bool
+    or a float still reaches the check; a lower key equal to one of the
+    sum's int keys (2.0 == 2) is evaluated as that int.
+    """
     _check_int("evaluate_jordan", "k", k, 1)
-    kept = _JORDAN_PLANS.get(max(combo)) if combo else None
+    top = max(combo) if combo else None
+    kept = _JORDAN_PLANS.get(top) if type(top) is int else None
     if kept is not None and kept[0] == combo:
         return Fraction(*_plan_ratio(kept[1], k, "evaluate_jordan"))
-    return Fraction(*_plan_ratio(_laurent_plan({0: combo}), k, "evaluate_jordan"))
+    return Fraction(*_plan_ratio(_laurent_plan({0: combo}, "evaluate_jordan"), k, "evaluate_jordan"))
 
 
 def evaluate_laurent(laurent: KLaurent, k: int) -> Fraction:
     """sum_e k^e * combo_e(k), exact."""
     _check_int("evaluate_laurent", "k", k, 1)
-    return Fraction(*_plan_ratio(_laurent_plan(laurent), k, "evaluate_laurent"))
+    return Fraction(*_plan_ratio(_laurent_plan(laurent, "evaluate_laurent"), k, "evaluate_laurent"))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +250,7 @@ class ClosedForm:
             body = {e: jc_scale(combo, 1 / content) for e, combo in body.items()}
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "body", _frozen(body))
-        object.__setattr__(self, "_plan", _build_plan(body, scalar, self.phi_exp))
+        object.__setattr__(self, "_plan", _build_plan(body, scalar, self.phi_exp, "ClosedForm"))
         object.__setattr__(self, "_renders", {})
 
     def __hash__(self):
@@ -448,6 +464,8 @@ def render(obj: ClosedForm | JordanCombo, format: str = "text") -> str:
                 text = _closed_form_text(obj)
             obj._renders[format] = text
         return text
+    for s in obj:
+        _check_int("render", "Jordan index", s)
     if format == "json":
         return json.dumps(_combo_json(obj))
     return _combo_terms(obj, latex=(format == "latex"))

@@ -1,10 +1,12 @@
-"""One rule for every integer argument of the public API.
+"""One rule for every integer argument and integer table key of the public API.
 
-Each integer parameter with a least value takes an ``int`` (not a ``bool``)
-of at least that value.  Anything else raises ``ValueError`` with
+Each integer parameter takes an ``int`` (not a ``bool``), of at least its
+least value where it has one.  Anything else raises ``ValueError`` with
 ``<function>: <param> must be >= <least>, got <value>`` for an int below
 the least, and ``<function>: <param> must be an integer >= <least>, got
-<value!r>`` for any other value.
+<value!r>`` (``must be an integer, got <value!r>`` with no least) for any
+other value.  The k-exponents and Jordan indices of a table follow the same
+rule wherever a table is turned into integers.
 """
 
 import importlib
@@ -30,6 +32,7 @@ from meansq import (
     factorial,
     factorize,
     jordan_totient,
+    kl_shift,
     l_principal_closed_form,
     l_value_numeric,
     mean_square_even,
@@ -39,6 +42,7 @@ from meansq import (
     power_sum_real,
     realjs_rhs_exact,
     recip_power_real_sum,
+    render,
     sigma0,
     sigma0_prime,
     sigma1,
@@ -53,9 +57,9 @@ MODULES = ("exact", "mean_square", "multiplicative", "oracle", "sine_sums", "sym
 FORM = ClosedForm(Fraction(1), 2, 1, {0: {2: Fraction(1)}})
 ODD_CHARACTER = characters_with_parity(5, "odd")[0]
 
-# (function, valid arguments, {integer parameter: its least value})
+# (function, valid arguments, {integer parameter: its least value, or None for any int})
 CONTRACTS = [
-    (binomial, (5, 2), {"n": 0}),
+    (binomial, (5, 2), {"n": 0, "k": None}),
     (factorial, (5,), {"n": 0}),
     (bernoulli, (4,), {"n": 0}),
     (deriv_coeff, (3, 2), {"q": 0, "j": 1}),
@@ -80,7 +84,7 @@ CONTRACTS = [
     (l_value_numeric, (3, ODD_CHARACTER, 64), {"r": 1, "precision_bits": 53}),
     (mean_square_numeric, (3, 7, 64), {"r": 1, "k": 3, "precision_bits": 53}),
     (exp_sum_direct, (1, 1, 5, 64), {"p": 1, "q": 1, "k": 3, "precision_bits": 53}),
-    (power_exp_identity_check, (2, 1, 5, 64), {"n": 1, "k": 3, "precision_bits": 53}),
+    (power_exp_identity_check, (2, 1, 5, 64), {"n": 1, "m": None, "k": 3, "precision_bits": 53}),
     (sin_sum_exact, (4,), {"n": 0}),
     (sin_sum_numeric, (4, 7, 64), {"n": 0, "k": 3, "precision_bits": 53}),
     (recip_power_real_sum, (2,), {"n": 1}),
@@ -88,15 +92,11 @@ CONTRACTS = [
     (evaluate_jordan, ({2: Fraction(1)}, 12), {"k": 1}),
     (evaluate_laurent, ({-2: {2: Fraction(1)}}, 12), {"k": 1}),
     (evaluate_closed_form, (FORM, 12, 64), {"k": 3, "precision_bits": 53}),
+    (kl_shift, ({0: {1: Fraction(1)}}, 2), {"t": None}),
 ]
 
-# Integer parameters with no least value, each with its own rule.
-EXEMPT = {
-    ("binomial", "k"),  # any int: C(n, k) is 0 outside [0, n]
-    ("power_exp_identity_check", "m"),  # any int coprime to k: the gcd rule
-    ("kl_shift", "t"),  # any int: a shift of every k-exponent
-    ("CharacterGroup", "modulus"),  # a record built by character_group, which checks k
-}
+# A record built by character_group, which checks k.
+EXEMPT = {("CharacterGroup", "modulus")}
 
 NON_INTEGERS = (12.5, 12.0, True, "12", None)
 
@@ -105,7 +105,8 @@ def _cases():
     for fn, valid, leasts in CONTRACTS:
         params = list(inspect.signature(fn).parameters)
         for param, least in leasts.items():
-            for value in (*NON_INTEGERS, least - 1):
+            below = () if least is None else (least - 1,)
+            for value in (*NON_INTEGERS, *below):
                 yield pytest.param(fn, valid, params.index(param), param, least, value,
                                    id=f"{fn.__name__}-{param}-{value!r}")
 
@@ -117,6 +118,8 @@ def test_integer_parameter_is_checked(fn, valid, index, param, least, value):
     name = fn.__name__
     if type(value) is int:
         message = f"{name}: {param} must be >= {least}, got {value}"
+    elif least is None:
+        message = f"{name}: {param} must be an integer, got {value!r}"
     else:
         message = f"{name}: {param} must be an integer >= {least}, got {value!r}"
     with pytest.raises(ValueError) as info:
@@ -154,3 +157,35 @@ def test_non_integer_modulus_and_precision_are_refused(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+KEYS = (0.5, 2.0, True, "2", None)
+
+# (function, table key, a call of it with that key)
+KEY_CALLS = [
+    ("ClosedForm", "k-exponent", lambda key: ClosedForm(Fraction(1), 2, 1, {key: {2: Fraction(1)}})),
+    ("ClosedForm", "Jordan index", lambda key: ClosedForm(Fraction(1), 2, 1, {0: {key: Fraction(1)}})),
+    ("evaluate_jordan", "Jordan index", lambda key: evaluate_jordan({key: Fraction(1)}, 7)),
+    ("evaluate_laurent", "k-exponent", lambda key: evaluate_laurent({key: {2: Fraction(1)}}, 7)),
+    ("evaluate_laurent", "Jordan index", lambda key: evaluate_laurent({0: {key: Fraction(1)}}, 7)),
+    ("render", "Jordan index", lambda key: render({key: Fraction(1)}, "json")),
+]
+
+
+@pytest.mark.parametrize("key", KEYS, ids=repr)
+@pytest.mark.parametrize("function,param,call", KEY_CALLS, ids=[f"{fn}-{param}" for fn, param, _ in KEY_CALLS])
+def test_table_key_is_checked(function, param, call, key):
+    with pytest.raises(ValueError) as info:
+        call(key)
+    assert str(info.value) == f"{function}: {param} must be an integer, got {key!r}"
+
+
+def test_key_equal_to_a_cached_sine_sum_key_is_refused():
+    # sin_sum_exact(0) == {1: 1} keeps a plan that {True: 1} would equal;
+    # sin_sum_exact(2) == {2: 1/3} keeps one that {2.0: 1/3} would equal
+    assert sin_sum_exact(0) == {True: Fraction(1)}
+    assert sin_sum_exact(2) == {2.0: Fraction(1, 3)}
+    for combo in ({True: Fraction(1)}, {2.0: Fraction(1, 3)}):
+        with pytest.raises(ValueError, match="evaluate_jordan: Jordan index must be an integer"):
+            evaluate_jordan(combo, 7)
+    assert evaluate_jordan(sin_sum_exact(2), 7) == 16

@@ -247,15 +247,10 @@ class TestModulusTable:
             assert jordan_totient(3, k) == ref_jordan(3, k), k
             assert euler_phi(k) == ref_jordan(1, k), k
 
-    def test_one_factorization_per_modulus(self, monkeypatch):
-        calls = []
-
-        def counted(n):
-            calls.append(n)
-            return factorize(n)
-
+    def test_one_factorization_per_modulus(self):
+        # k is factored only where its entry is built, on a miss of _modulus;
+        # the six calls below each read the entry once
         multiplicative._modulus.cache_clear()
-        monkeypatch.setattr(multiplicative, "factorize", counted)
         k = 99990
         for form in mean_square_odd(1):
             evaluate_closed_form(form, k)
@@ -263,7 +258,8 @@ class TestModulusTable:
         evaluate_laurent({-2: {4: Fraction(1, 3)}}, k)
         jordan_totient(7, k)
         euler_phi(k)
-        assert calls == [k]
+        info = multiplicative._modulus.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
 
     def test_float_modulus_is_refused(self):
         multiplicative._modulus.cache_clear()

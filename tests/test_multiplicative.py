@@ -2,11 +2,15 @@
 
 import math
 import random
+from itertools import chain, count
 
 import pytest
 
 from meansq import multiplicative
 from meansq.multiplicative import coprime_residues, euler_phi, factorize, jordan_totient
+
+# The primes below 1000, found by trial division.
+TRIAL_PRIMES = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1)))
 
 
 class TestFactorize:
@@ -45,9 +49,57 @@ class TestFactorize:
             factorize(0)
 
     def test_prime_table_is_the_primes_below_1000(self):
-        trial = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1)))
-        assert len(trial) == 168
-        assert multiplicative._SMALL_PRIMES == trial
+        assert len(TRIAL_PRIMES) == 168
+        assert multiplicative._SMALL_PRIMES == TRIAL_PRIMES
+
+
+def reference_factors(n):
+    """The plain trial division: each prime below 1000 in turn, then the odd numbers from 1001."""
+    factors = []
+    rest = n
+    for p in chain(TRIAL_PRIMES, count(1001, 2)):
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            factors.append((p, e))
+    if rest > 1:
+        factors.append((rest, 1))
+    return tuple(factors)
+
+
+# n at the end of the prime table and past it.
+PAST_THE_TABLE = (997**2, 997 * 1009, 1009**2, 10**6 + 3, 2 * (10**6 + 3), 999983 * 997, 2**20, 720720)
+
+
+class TestBlockScreen:
+    """``factorize`` and the per-modulus entry come from the gcd-screened blocks."""
+
+    @staticmethod
+    def check(n):
+        factors = reference_factors(n)
+        assert factorize(n).factors == factors, n
+        primes = tuple(p for p, _ in factors)
+        assert multiplicative._modulus.__wrapped__(n) == (n // math.prod(primes), primes, {}), n
+
+    def test_matches_trial_division_up_to_2e5(self):
+        for n in range(1, 2 * 10**5 + 1):
+            self.check(n)
+
+    def test_matches_trial_division_at_every_prime(self):
+        # a prime of a late block divides n past 2e5 only, as p^2 or p times a
+        # larger prime; the first and last primes of the blocks are among these
+        primes = (*TRIAL_PRIMES, 1009)
+        for p, q in zip(primes, primes[1:]):
+            for n in (p**2, p**3, p * q):
+                self.check(n)
+
+    @pytest.mark.parametrize("n", PAST_THE_TABLE)
+    def test_matches_trial_division_past_the_table(self, n):
+        self.check(n)
 
 
 class TestJordanTotient:
