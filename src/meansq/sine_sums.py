@@ -16,10 +16,10 @@ is a table of Python ``int``s over one common denominator, so the nested
 Bernoulli/binomial sums never normalize a fraction:
 
 * ``_recip_power_real(n)`` is a memoized integer table {sine order m:
-  numerator} over one denominator (a divisor of 2^(2*half+1) (2*half)!,
-  half = floor(n/2)) for the coprime-sum R(n) of the real part of
-  (e^(2*pi*i*m/k) - 1)^(-n), reduced to sine power sums via the explicit
-  Chebyshev representations of cos/sin of multiple angles;
+  numerator} over one power of 2 (a divisor of 2^n) for the coprime-sum
+  R(n) of the real part of (e^(2*pi*i*m/k) - 1)^(-n), reduced to sine
+  power sums by 1/(e^(it) - 1) = -(1 + i cot(t/2))/2 and cot^2 = csc^2 - 1:
+  binomials of n and one Taylor shift, for both parities;
 * ``_recursion_laurent(n)`` expands the step's weights W_e = C(n, e)
   P(e, e - 1), P(e, m) = sum_{q <= m} C(e, q) B_q (``exact._bernoulli_weights``,
   unreflected: no sign (-1)^(n+e+1)), which the Bernoulli recurrence makes
@@ -95,50 +95,34 @@ def _recip_power_real(n: int) -> tuple[Mapping[int, int], int]:
     """Coprime-sum of Re (e^(2*pi*i*m/k) - 1)^(-n) as (sine table, denominator).
 
     The table maps m to the numerator of the coefficient of SIN(m), the
-    order-m sine power sum.
-
-    Single merged formula for both parities of n: with half = floor(n/2) and
-    E = n for even n, 1 for odd n,
-
-        E * sum_c (-1)^(c + ceil(n/2)) (n-c-1)! / (2^(2c+1) c! (2*half-2c)!)
-          * sum_d (-1)^d C(half-c, d) * SIN(2*half - 2d)
-
-    Over D = 2^(2*half+1) (2*half)! every c-scalar is an integer, so the
-    table holds integer numerators over D, reduced by their common gcd.  It
-    holds only scalars, so it needs no sine sum to be built first.
+    order-m sine power sum, highest order first.  With 1/(e^(it) - 1) =
+    -(1 + i cot(t/2))/2, the real part is (-1)^n / 2^n times
+    sum_j (-1)^j C(n, 2j) u^j, u = cot^2(t/2) = csc^2(t/2) - 1; a Taylor
+    shift from u to csc^2 gives integer numerators over 2^n, reduced by
+    their common gcd.  It holds only scalars, so it needs no sine sum to be
+    built first.
     """
-    half = n // 2
-    scale = (n if n % 2 == 0 else 1) * (-1) ** ((n + 1) // 2)
-    fact_2h = factorial(2 * half)
-    table: dict[int, int] = {}
-    for c in range(half + 1):
-        coeff_c = (
-            scale * (-1) ** c * factorial(n - c - 1) * 2 ** (2 * half - 2 * c)
-            * (fact_2h // (factorial(c) * factorial(2 * half - 2 * c)))
-        )
-        for d in range(half - c + 1):
-            m = 2 * half - 2 * d
-            table[m] = table.get(m, 0) + coeff_c * (-1) ** d * comb(half - c, d)
-    den = 2 ** (2 * half + 1) * fact_2h
-    g = gcd(den, *table.values())
-    return _frozen({m: v // g for m, v in table.items() if v}), den // g
+    b = [(-1) ** (n + j) * comb(n, 2 * j) for j in range(n // 2 + 1)]
+    for t in range(len(b) - 1):
+        for j in range(len(b) - 2, t - 1, -1):
+            b[j] -= b[j + 1]
+    g = gcd(2**n, *b)
+    return _frozen({2 * i: b[i] // g for i in reversed(range(len(b))) if b[i]}), 2**n // g
 
 
-def _expand_laurent(table: Mapping[tuple[int, int], int], den: int = 1,
-                    exclude: int | None = None, top: int = 0) -> KLaurent:
+def _expand_laurent(table: Mapping[tuple[int, int], int], den: int = 1, exclude: int | None = None) -> KLaurent:
     """sum over (e, n) of table[e, n]/den * k^e * R(n), R(n) = ``_recip_power_real(n)``.
 
-    The sine sum of order ``exclude`` is left out of every R(n), and
-    top/den * J_exclude is added at k^0; this is how the induction in
-    sin_sum_exact removes the top-order sum it is solving for.  The integer
-    numerators are first collected per (k-exponent, sine order) over the lcm
-    of the R(n) denominators; each sine sum is then read as numerators over
-    the lcm of its coefficients' denominators, and each (k-exponent, Jordan
-    index) is divided by the one common denominator once.
+    The sine sum of order ``exclude`` is left out of every R(n); this is how
+    the induction in sin_sum_exact removes the top-order sum it is solving
+    for.  The integer numerators are first collected per (k-exponent, sine
+    order) over the lcm of the R(n) denominators; each sine sum is then read
+    as numerators over the lcm of its coefficients' denominators, and each
+    (k-exponent, Jordan index) is divided by the one common denominator once.
     """
     recip = {n: _recip_power_real(n) for _, n in table}
     rden = lcm(*[d for _, d in recip.values()])
-    by_exponent: dict[int, dict[int, int]] = {0: {}} if top else {}
+    by_exponent: dict[int, dict[int, int]] = {}
     for (e, n), v in table.items():
         if not v:
             continue
@@ -159,8 +143,6 @@ def _expand_laurent(table: Mapping[tuple[int, int], int], den: int = 1,
             if x:
                 for s, c in sin_ints[m]:
                     acc[s] = acc.get(s, 0) + x * c
-        if e == 0 and top:
-            acc[exclude] = acc.get(exclude, 0) + top * rden * sden
         combo = {s: Fraction(v, total) for s, v in acc.items() if v}
         if combo:
             out[e] = combo
@@ -183,10 +165,10 @@ def _recursion_laurent(n: int) -> KLaurent:
     """
     weights, bden = _bernoulli_weights(n, n)
     table = _weighted_cells(n, weights, shift=-1, scale=(-1) ** (n // 2) * 2**n)
-    # the J_n term (-1)^(n/2+1) 2^n B_n / n!, over the weights' denominator bden * n!
-    b = bernoulli(n)
-    top = (-1) ** (n // 2 + 1) * 2**n * b.numerator * (bden // b.denominator)
-    return _expand_laurent(table, bden * factorial(n), exclude=n, top=top)
+    laurent = _expand_laurent(table, bden * factorial(n), exclude=n)
+    # the J_n term (-1)^(n/2+1) 2^n B_n / n!, last at k^0
+    laurent.setdefault(0, {})[n] = (-1) ** (n // 2 + 1) * 2**n * bernoulli(n) / factorial(n)
+    return laurent
 
 
 def sin_sum_exact(n: int) -> JordanCombo:

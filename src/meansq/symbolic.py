@@ -119,23 +119,25 @@ def _thawed(laurent: Mapping) -> KLaurent:
     return {e: combo.copy() for e, combo in laurent.items()}
 
 
-def _build_plan(laurent: Mapping, scalar: Fraction | int, phi_exp: int, caller: str, den: int = 1) -> tuple:
+def _build_plan(laurent: Mapping, caller: str, scalar: Fraction | int = 1, phi_exp: int = 0) -> tuple:
     """Integer evaluation plan of scalar * phi(k)^phi_exp * laurent(k).
 
-    The plan is (num, den, phi_exp, low, rows, indices): the scalar as
-    num / den, the lowest k-exponent, one row (e - low, ((s, c), ...)) per
-    exponent with integer c, and the ascending distinct Jordan indices (with
-    1 when phi_exp > 0), so one Jordan table serves the whole evaluation.
-    Every coefficient times ``den`` must be an integer: a canonical
-    ``ClosedForm`` body needs den = 1, any other Laurent the lcm of its
-    denominators, which goes into the scalar's denominator.  Every
-    k-exponent and Jordan index must be an int, or a ``ValueError`` names
-    ``caller``: this is where every table turns into integers.
+    The plan is (num, den, phi_exp, low, rows, indices): the scalar over the
+    lcm of the coefficient denominators as num / den, the lowest k-exponent,
+    one row (e - low, ((s, c), ...)) per exponent with integer c, and the
+    ascending distinct Jordan indices (with 1 when phi_exp > 0), so one
+    Jordan table serves the whole evaluation.  A canonical ``ClosedForm``
+    body has integer coefficients, so its lcm is 1.  Every k-exponent and
+    Jordan index must be an int, or a ``ValueError`` names ``caller``: this
+    is where every table turns into integers.
     """
     for e, combo in laurent.items():
         _check_int(caller, "k-exponent", e)
         for s in combo:
             _check_int(caller, "Jordan index", s)
+    # A list, not a generator: on CPython 3.11, unpacking generators of
+    # varying length into arguments left ~1 MB more peak RSS in a warm session.
+    den = math.lcm(*[c.denominator for combo in laurent.values() for c in combo.values()])
     low = min(laurent) if laurent else 0
     rows = tuple([
         (e - low, tuple([(s, c.numerator * (den // c.denominator)) for s, c in combo.items()]))
@@ -145,14 +147,6 @@ def _build_plan(laurent: Mapping, scalar: Fraction | int, phi_exp: int, caller: 
     if phi_exp:
         indices.add(1)
     return scalar.numerator, scalar.denominator * den, phi_exp, low, rows, tuple(sorted(indices))
-
-
-def _laurent_plan(laurent: KLaurent, caller: str) -> tuple:
-    """The plan of a Laurent with any rational coefficients, over their lcm."""
-    # A list, not a generator: on CPython 3.11, unpacking generators of
-    # varying length into arguments left ~1 MB more peak RSS in a warm session.
-    den = math.lcm(*[c.denominator for combo in laurent.values() for c in combo.values()])
-    return _build_plan(laurent, 1, 0, caller, den)
 
 
 def _plan_ratio(plan: tuple, k: int, caller: str) -> tuple[int, int]:
@@ -192,7 +186,7 @@ def _keep_jordan_plan(combo: JordanCombo) -> None:
     Copies of the cached value share its ``Fraction`` objects, so the
     equality test that guards the plan is an identity check per coefficient.
     """
-    _JORDAN_PLANS[max(combo)] = combo, _laurent_plan({0: combo}, "sin_sum_exact")
+    _JORDAN_PLANS[max(combo)] = combo, _build_plan({0: combo}, "sin_sum_exact")
 
 
 def evaluate_jordan(combo: JordanCombo, k: int) -> Fraction:
@@ -201,21 +195,25 @@ def evaluate_jordan(combo: JordanCombo, k: int) -> Fraction:
     A combo equal to a cached sine sum reuses that sum's plan without the
     key check of ``_build_plan``, so a warm evaluation does not pay for it.
     Only an int top index is looked up, so a combo whose top key is a bool
-    or a float still reaches the check; a lower key equal to one of the
-    sum's int keys (2.0 == 2) is evaluated as that int.
+    or a float, or whose keys do not compare, still reaches the check; a
+    lower key equal to one of the sum's int keys (2.0 == 2) is evaluated as
+    that int.
     """
     _check_int("evaluate_jordan", "k", k, 1)
-    top = max(combo) if combo else None
+    try:
+        top = max(combo) if combo else None
+    except TypeError:
+        top = None
     kept = _JORDAN_PLANS.get(top) if type(top) is int else None
     if kept is not None and kept[0] == combo:
         return Fraction(*_plan_ratio(kept[1], k, "evaluate_jordan"))
-    return Fraction(*_plan_ratio(_laurent_plan({0: combo}, "evaluate_jordan"), k, "evaluate_jordan"))
+    return Fraction(*_plan_ratio(_build_plan({0: combo}, "evaluate_jordan"), k, "evaluate_jordan"))
 
 
 def evaluate_laurent(laurent: KLaurent, k: int) -> Fraction:
     """sum_e k^e * combo_e(k), exact."""
     _check_int("evaluate_laurent", "k", k, 1)
-    return Fraction(*_plan_ratio(_laurent_plan(laurent, "evaluate_laurent"), k, "evaluate_laurent"))
+    return Fraction(*_plan_ratio(_build_plan(laurent, "evaluate_laurent"), k, "evaluate_laurent"))
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +243,16 @@ class ClosedForm:
         body = {e: combo for e, combo in body.items() if combo}
         scalar = Fraction(0)
         if body:
-            content = _content(body)
+            try:
+                content = _content(body)
+            except TypeError:  # keys that do not compare: the key rule names one
+                _build_plan(body, "ClosedForm")
+                raise
             scalar = Fraction(self.scalar) * content
             body = {e: jc_scale(combo, 1 / content) for e, combo in body.items()}
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "body", _frozen(body))
-        object.__setattr__(self, "_plan", _build_plan(body, scalar, self.phi_exp, "ClosedForm"))
+        object.__setattr__(self, "_plan", _build_plan(body, "ClosedForm", scalar, self.phi_exp))
         object.__setattr__(self, "_renders", {})
 
     def __hash__(self):
@@ -475,19 +477,27 @@ def render(obj: ClosedForm | JordanCombo, format: str = "text") -> str:
 # Parsing (inverse of the JSON rendering)
 # ---------------------------------------------------------------------------
 
+def _json_int(value):
+    """A string (the JSON form of a key) as an int; any other value is left to the integer rule."""
+    return int(value) if isinstance(value, str) else value
+
+
 def parse_jordan_combo(data: str | dict) -> JordanCombo:
     if isinstance(data, str):
         data = json.loads(data)
-    combo = {int(s): Fraction(c) for s, c in data.items()}
+    combo = {_json_int(s): Fraction(c) for s, c in data.items()}
+    for s in combo:
+        _check_int("parse_jordan_combo", "Jordan index", s)
     return {s: c for s, c in combo.items() if c}
 
 
 def parse_closed_form(data: str | dict) -> ClosedForm:
+    """The inverse of the JSON render; ``ClosedForm`` checks the exponents and k-exponents."""
     if isinstance(data, str):
         data = json.loads(data)
     return ClosedForm(
         scalar=Fraction(data["scalar"]),
-        pi_exp=int(data["pi_exp"]),
-        phi_exp=int(data["phi_exp"]),
-        body={int(e): parse_jordan_combo(combo) for e, combo in data["body"].items()},
+        pi_exp=_json_int(data["pi_exp"]),
+        phi_exp=_json_int(data["phi_exp"]),
+        body={_json_int(e): parse_jordan_combo(combo) for e, combo in data["body"].items()},
     )

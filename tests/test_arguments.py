@@ -38,6 +38,8 @@ from meansq import (
     mean_square_even,
     mean_square_numeric,
     mean_square_odd,
+    parse_closed_form,
+    parse_jordan_combo,
     power_exp_identity_check,
     power_sum_real,
     realjs_rhs_exact,
@@ -161,23 +163,65 @@ def test_non_integer_modulus_and_precision_are_refused(call, message):
 
 KEYS = (0.5, 2.0, True, "2", None)
 
-# (function, table key, a call of it with that key)
+# (function, table key, a call of it with a table whose keys at that level are ``keys``)
 KEY_CALLS = [
-    ("ClosedForm", "k-exponent", lambda key: ClosedForm(Fraction(1), 2, 1, {key: {2: Fraction(1)}})),
-    ("ClosedForm", "Jordan index", lambda key: ClosedForm(Fraction(1), 2, 1, {0: {key: Fraction(1)}})),
-    ("evaluate_jordan", "Jordan index", lambda key: evaluate_jordan({key: Fraction(1)}, 7)),
-    ("evaluate_laurent", "k-exponent", lambda key: evaluate_laurent({key: {2: Fraction(1)}}, 7)),
-    ("evaluate_laurent", "Jordan index", lambda key: evaluate_laurent({0: {key: Fraction(1)}}, 7)),
-    ("render", "Jordan index", lambda key: render({key: Fraction(1)}, "json")),
+    ("ClosedForm", "k-exponent", lambda keys: ClosedForm(Fraction(1), 2, 1, {key: {2: Fraction(1)} for key in keys})),
+    ("ClosedForm", "Jordan index", lambda keys: ClosedForm(Fraction(1), 2, 1, {0: dict.fromkeys(keys, Fraction(1))})),
+    ("evaluate_jordan", "Jordan index", lambda keys: evaluate_jordan(dict.fromkeys(keys, Fraction(1)), 7)),
+    ("evaluate_laurent", "k-exponent", lambda keys: evaluate_laurent({key: {2: Fraction(1)} for key in keys}, 7)),
+    ("evaluate_laurent", "Jordan index", lambda keys: evaluate_laurent({0: dict.fromkeys(keys, Fraction(1))}, 7)),
+    ("render", "Jordan index", lambda keys: render(dict.fromkeys(keys, Fraction(1)), "json")),
 ]
+KEY_IDS = [f"{fn}-{param}" for fn, param, _ in KEY_CALLS]
 
 
 @pytest.mark.parametrize("key", KEYS, ids=repr)
-@pytest.mark.parametrize("function,param,call", KEY_CALLS, ids=[f"{fn}-{param}" for fn, param, _ in KEY_CALLS])
+@pytest.mark.parametrize("function,param,call", KEY_CALLS, ids=KEY_IDS)
 def test_table_key_is_checked(function, param, call, key):
     with pytest.raises(ValueError) as info:
-        call(key)
+        call((key,))
     assert str(info.value) == f"{function}: {param} must be an integer, got {key!r}"
+
+
+@pytest.mark.parametrize("key", KEYS, ids=repr)
+@pytest.mark.parametrize("function,param,call", KEY_CALLS, ids=KEY_IDS)
+def test_key_beside_an_int_key_is_checked(function, param, call, key):
+    # "2" and None do not compare with 3, so ordering the keys must not pre-empt the key rule
+    for keys in ((key, 3), (3, key)):
+        with pytest.raises(ValueError) as info:
+            call(keys)
+        assert str(info.value) == f"{function}: {param} must be an integer, got {key!r}", keys
+
+
+@pytest.mark.parametrize("key", [key for key in KEYS if not isinstance(key, str)], ids=repr)
+def test_parsed_key_is_checked(key):
+    # only a string, the JSON form of a key, is read with int()
+    with pytest.raises(ValueError) as info:
+        parse_jordan_combo({key: "1", 3: "1"})
+    assert str(info.value) == f"parse_jordan_combo: Jordan index must be an integer, got {key!r}"
+    data = {"scalar": "1", "pi_exp": 2, "phi_exp": 1, "body": {key: {"2": "1"}, "3": {"2": "1"}}}
+    with pytest.raises(ValueError) as info:
+        parse_closed_form(data)
+    assert str(info.value) == f"ClosedForm: k-exponent must be an integer, got {key!r}"
+
+
+@pytest.mark.parametrize("param,value", [("pi_exp", 2.7), ("pi_exp", 2.0), ("phi_exp", True), ("phi_exp", None)])
+def test_parsed_exponent_is_checked(param, value):
+    data = {"scalar": "1", "pi_exp": 2, "phi_exp": 1, "body": {"0": {"2": "1"}}, param: value}
+    with pytest.raises(ValueError) as info:
+        parse_closed_form(data)
+    assert str(info.value) == f"ClosedForm: {param} must be an integer >= 0, got {value!r}"
+
+
+def test_parsers_read_strings_and_ints():
+    # strings are the JSON form; ints pass the integer rule unchanged
+    want = ClosedForm(Fraction(1, 3), 2, 1, {-1: {4: Fraction(1)}, 0: {2: Fraction(-2)}})
+    for data in (
+        {"scalar": "1/3", "pi_exp": 2, "phi_exp": 1, "body": {"-1": {"4": "1"}, "0": {"2": "-2"}}},
+        {"scalar": "1/3", "pi_exp": "2", "phi_exp": "1", "body": {-1: {4: "1"}, 0: {2: "-2"}}},
+    ):
+        assert parse_closed_form(data) == want
+    assert parse_jordan_combo({"4": "1/3", 2: "0", 1: "-1"}) == {4: Fraction(1, 3), 1: Fraction(-1)}
 
 
 def test_key_equal_to_a_cached_sine_sum_key_is_refused():

@@ -317,10 +317,10 @@ class TestKeptSinePlans:
     def test_every_cached_sum_uses_its_kept_plan(self, monkeypatch):
         combos = {n: sin_sum_exact(n) for n in SINE_ORDERS}
 
-        def refuse(laurent):
+        def refuse(laurent, *args):
             raise AssertionError(f"plan built for a cached sine sum: {laurent}")
 
-        monkeypatch.setattr(symbolic, "_laurent_plan", refuse)
+        monkeypatch.setattr(symbolic, "_build_plan", refuse)
         for n, combo in combos.items():
             for k in PLAN_MODULI:
                 assert evaluate_jordan(combo, k) == ref_combo(combo, k), (n, k)

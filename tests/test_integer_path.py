@@ -25,6 +25,7 @@ def reference_deriv_coeff(q, j):
 
 
 def reference_recip_power_real(n):
+    """R(n) by the Chebyshev representations of cos/sin of multiple angles, split on n's parity."""
     half = n // 2
     scale = Fraction(n if n % 2 == 0 else 1) * (-1) ** ((n + 1) // 2)
     table = {}
@@ -110,11 +111,17 @@ def test_deriv_coeff_rows_match_the_sum_definition():
         assert [_deriv_int(q, j) for j in range(1, q + 2)] == [reference_deriv_coeff(q, j) for j in range(1, q + 2)], q
 
 
-@pytest.mark.parametrize("n", range(1, 61))
+@pytest.mark.parametrize("n", range(1, 161))
 def test_recip_power_real_table(n):
+    # the binomial rule against the Chebyshev formula: the same values over the
+    # lcm of their denominators, highest sine order first, as published combos
+    # inherit that order
     table, den = _recip_power_real(n)
+    want = reference_recip_power_real(n)
     assert all(type(v) is int for v in table.values())
-    assert over(table, den) == reference_recip_power_real(n)
+    assert list(over(table, den).items()) == list(want.items())
+    assert den == math.lcm(*[c.denominator for c in want.values()])
+    assert list(table) == sorted(table, reverse=True)
 
 
 @pytest.mark.parametrize("n", range(2, 61, 2))
