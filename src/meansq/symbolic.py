@@ -9,10 +9,12 @@ Three layers, all exact and all with value semantics:
 * ``ClosedForm``   -- scalar * pi^pi_exp * phi(k)^phi_exp * body(k), the
   shape every final closed form takes.
 
-``ClosedForm`` is canonicalized on construction: the rational content of the
-body is folded into the scalar so that body coefficients are coprime
-integers and the leading one (highest k-exponent, then highest Jordan index)
-is positive.  That makes structural equality agree with mathematical
+``ClosedForm`` is canonicalized on construction, from the integer plan of
+the raw body: that plan checks every key, zero coefficients included, and
+puts every coefficient over one lcm.  The gcd of the nonzero integers, signed
+like the leading one (highest k-exponent, then highest Jordan index), is
+folded into the scalar, so body coefficients are coprime integers with a
+positive lead.  That makes structural equality agree with mathematical
 equality for the forms produced here, and makes renders reproduce the
 familiar presentation (e.g. a single 1/187110 prefactor).
 
@@ -239,17 +241,17 @@ class ClosedForm:
     def __post_init__(self):
         _check_int("ClosedForm", "pi_exp", self.pi_exp, 0)
         _check_int("ClosedForm", "phi_exp", self.phi_exp, 0)
-        body = {e: {s: Fraction(c) for s, c in combo.items() if c} for e, combo in self.body.items()}
-        body = {e: combo for e, combo in body.items() if combo}
+        # The raw plan checks every key, zero cells too, and gives integers over one lcm.
+        _, den, _, low, rows, _ = _build_plan(self.body, "ClosedForm")
+        body = {low + shift: combo for shift, terms in rows if (combo := {s: c for s, c in terms if c})}
         scalar = Fraction(0)
         if body:
-            try:
-                content = _content(body)
-            except TypeError:  # keys that do not compare: the key rule names one
-                _build_plan(body, "ClosedForm")
-                raise
-            scalar = Fraction(self.scalar) * content
-            body = {e: jc_scale(combo, 1 / content) for e, combo in body.items()}
+            g = math.gcd(*[c for combo in body.values() for c in combo.values()])
+            lead = body[max(body)]
+            if lead[max(lead)] < 0:
+                g = -g
+            scalar = Fraction(self.scalar) * Fraction(g, den)
+            body = {e: {s: Fraction(c // g) for s, c in combo.items()} for e, combo in body.items()}
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "body", _frozen(body))
         object.__setattr__(self, "_plan", _build_plan(body, "ClosedForm", scalar, self.phi_exp))
@@ -262,23 +264,6 @@ class ClosedForm:
     def __reduce__(self):
         # A mappingproxy cannot be pickled or deep-copied: rebuild from plain dicts.
         return ClosedForm, (self.scalar, self.pi_exp, self.phi_exp, _thawed(self.body))
-
-
-def _content(body: KLaurent) -> Fraction:
-    """gcd of numerators / lcm of denominators, signed by the leading coeff.
-
-    Leading coefficient: highest k-exponent, then highest Jordan index.
-    """
-    num_gcd = 0
-    den_lcm = 1
-    for combo in body.values():
-        for c in combo.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    lead_e = max(body)
-    lead_s = max(body[lead_e])
-    sign = 1 if body[lead_e][lead_s] > 0 else -1
-    return Fraction(sign * num_gcd, den_lcm)
 
 
 @functools.cache
@@ -477,15 +462,25 @@ def render(obj: ClosedForm | JordanCombo, format: str = "text") -> str:
 # Parsing (inverse of the JSON rendering)
 # ---------------------------------------------------------------------------
 
-def _json_int(value):
+def _json_int(function: str, param: str, value):
     """A string (the JSON form of a key) as an int; any other value is left to the integer rule."""
-    return int(value) if isinstance(value, str) else value
+    try:
+        return int(value) if isinstance(value, str) else value
+    except ValueError:
+        raise ValueError(f"{function}: {param} must be an integer, got {value!r}") from None
+
+
+def _json_object(function: str, param: str, data) -> Mapping:
+    """``data``, decoded first if it is a string, when it is a JSON object; a ``ValueError`` otherwise."""
+    data = json.loads(data) if isinstance(data, str) else data
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{function}: {param} must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def parse_jordan_combo(data: str | dict) -> JordanCombo:
-    if isinstance(data, str):
-        data = json.loads(data)
-    combo = {_json_int(s): Fraction(c) for s, c in data.items()}
+    data = _json_object("parse_jordan_combo", "data", data)
+    combo = {_json_int("parse_jordan_combo", "Jordan index", s): Fraction(c) for s, c in data.items()}
     for s in combo:
         _check_int("parse_jordan_combo", "Jordan index", s)
     return {s: c for s, c in combo.items() if c}
@@ -493,11 +488,15 @@ def parse_jordan_combo(data: str | dict) -> JordanCombo:
 
 def parse_closed_form(data: str | dict) -> ClosedForm:
     """The inverse of the JSON render; ``ClosedForm`` checks the exponents and k-exponents."""
-    if isinstance(data, str):
-        data = json.loads(data)
+    data = _json_object("parse_closed_form", "data", data)
+    try:
+        scalar, pi_exp, phi_exp, body = [data[key] for key in ("scalar", "pi_exp", "phi_exp", "body")]
+    except KeyError as error:
+        raise ValueError(f"parse_closed_form: data has no key {error}") from None
+    body = _json_object("parse_closed_form", "body", body)
     return ClosedForm(
-        scalar=Fraction(data["scalar"]),
-        pi_exp=_json_int(data["pi_exp"]),
-        phi_exp=_json_int(data["phi_exp"]),
-        body={_json_int(e): parse_jordan_combo(combo) for e, combo in data["body"].items()},
+        scalar=Fraction(scalar),
+        pi_exp=_json_int("parse_closed_form", "pi_exp", pi_exp),
+        phi_exp=_json_int("parse_closed_form", "phi_exp", phi_exp),
+        body={_json_int("parse_closed_form", "k-exponent", e): parse_jordan_combo(combo) for e, combo in body.items()},
     )

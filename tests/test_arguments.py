@@ -183,6 +183,24 @@ def test_table_key_is_checked(function, param, call, key):
     assert str(info.value) == f"{function}: {param} must be an integer, got {key!r}"
 
 
+@pytest.mark.parametrize(
+    "body,param,key",
+    [
+        ({0.5: {2: Fraction(0)}}, "k-exponent", 0.5),
+        ({0: {"x": Fraction(0)}, 1: {2: Fraction(1)}}, "Jordan index", "x"),
+        ({True: {2: Fraction(0)}}, "k-exponent", True),
+        ({0: {2.0: Fraction(0)}}, "Jordan index", 2.0),
+        ({0.5: {}}, "k-exponent", 0.5),
+    ],
+    ids=["float-exponent", "string-index-beside-a-form", "bool-exponent", "float-index", "empty-combo"],
+)
+def test_key_of_a_zero_coefficient_is_checked(body, param, key):
+    # zero coefficients and empty combos are dropped only after every key is checked
+    with pytest.raises(ValueError) as info:
+        ClosedForm(Fraction(1), 2, 1, body)
+    assert str(info.value) == f"ClosedForm: {param} must be an integer, got {key!r}"
+
+
 @pytest.mark.parametrize("key", KEYS, ids=repr)
 @pytest.mark.parametrize("function,param,call", KEY_CALLS, ids=KEY_IDS)
 def test_key_beside_an_int_key_is_checked(function, param, call, key):
@@ -211,6 +229,35 @@ def test_parsed_exponent_is_checked(param, value):
     with pytest.raises(ValueError) as info:
         parse_closed_form(data)
     assert str(info.value) == f"ClosedForm: {param} must be an integer >= 0, got {value!r}"
+
+
+FORM_DATA = {"scalar": "1", "pi_exp": 2, "phi_exp": 1, "body": {"0": {"2": "1"}}}
+
+
+MALFORMED = [
+    ("combo-float-key", parse_jordan_combo, {"2.5": "1"}, "parse_jordan_combo: Jordan index must be an integer, got '2.5'"),
+    ("combo-word-key", parse_jordan_combo, {"x": "1"}, "parse_jordan_combo: Jordan index must be an integer, got 'x'"),
+    ("combo-list", parse_jordan_combo, "[1, 2]", "parse_jordan_combo: data must be a JSON object, got list"),
+    ("form-float-pi_exp", parse_closed_form, {**FORM_DATA, "pi_exp": "2.5"}, "parse_closed_form: pi_exp must be an integer, got '2.5'"),
+    ("form-word-phi_exp", parse_closed_form, {**FORM_DATA, "phi_exp": "x"}, "parse_closed_form: phi_exp must be an integer, got 'x'"),
+    ("form-float-exponent", parse_closed_form, {**FORM_DATA, "body": {"0.5": {"2": "1"}}}, "parse_closed_form: k-exponent must be an integer, got '0.5'"),
+    ("form-word-index", parse_closed_form, {**FORM_DATA, "body": {"0": {"x": "1"}}}, "parse_jordan_combo: Jordan index must be an integer, got 'x'"),
+    ("form-list-body", parse_closed_form, {**FORM_DATA, "body": [1]}, "parse_closed_form: body must be a JSON object, got list"),
+    ("form-list-combo", parse_closed_form, {**FORM_DATA, "body": {"0": [1]}}, "parse_jordan_combo: data must be a JSON object, got list"),
+    ("form-list", parse_closed_form, "[1, 2]", "parse_closed_form: data must be a JSON object, got list"),
+    ("form-number", parse_closed_form, "7", "parse_closed_form: data must be a JSON object, got int"),
+    *[
+        (f"form-no-{key}", parse_closed_form, {k: v for k, v in FORM_DATA.items() if k != key}, f"parse_closed_form: data has no key {key!r}")
+        for key in FORM_DATA
+    ],
+]
+
+
+@pytest.mark.parametrize("parse,data,message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+def test_malformed_json_names_the_parser(parse, data, message):
+    with pytest.raises(ValueError) as info:
+        parse(data)
+    assert str(info.value) == message
 
 
 def test_parsers_read_strings_and_ints():

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import pickle
 import random
 import re
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from meansq import mean_square
 from meansq.symbolic import (
     ClosedForm,
     evaluate_closed_form,
@@ -143,6 +145,127 @@ class TestClosedForm:
             evaluate_closed_form(form, 2, 128)
         with pytest.raises(ValueError):
             evaluate_closed_form(form, 5, 32)
+
+
+def reference_form(scalar, pi_exp, phi_exp, body):
+    """The previous canonicalization, kept as the reference rule.
+
+    Zero coefficients and empty combos are dropped first; the body is then
+    divided by its rational content (gcd of the numerators over lcm of the
+    denominators), signed like the leading coefficient (highest k-exponent,
+    then highest Jordan index), and the scalar is multiplied by it.  Returns
+    a bare ``ClosedForm`` holding those values and a plan worked out here, so
+    the renders run on the reference's values, not the constructor's.
+    """
+    body = {e: {s: F(c) for s, c in combo.items() if c} for e, combo in body.items()}
+    body = {e: combo for e, combo in body.items() if combo}
+    out = F(0)
+    if body:
+        cells = [c for combo in body.values() for c in combo.values()]
+        lead = body[max(body)]
+        sign = 1 if lead[max(lead)] > 0 else -1
+        content = F(sign * math.gcd(*[c.numerator for c in cells]), math.lcm(*[c.denominator for c in cells]))
+        out = F(scalar) * content
+        body = {e: {s: c / content for s, c in combo.items()} for e, combo in body.items()}
+    low = min(body, default=0)
+    rows = tuple((e - low, tuple((s, c.numerator) for s, c in combo.items())) for e, combo in body.items())
+    indices = {s for combo in body.values() for s in combo} | ({1} if phi_exp else set())
+    plan = (out.numerator, out.denominator, phi_exp, low, rows, tuple(sorted(indices)))
+    form = object.__new__(ClosedForm)
+    fields = {"scalar": out, "pi_exp": pi_exp, "phi_exp": phi_exp, "body": body, "_plan": plan, "_renders": {}}
+    for name, value in fields.items():
+        object.__setattr__(form, name, value)
+    return form
+
+
+def typed_items(form):
+    """The body's items in key order, each coefficient with its type."""
+    return [(e, [(s, c, type(c)) for s, c in combo.items()]) for e, combo in form.body.items()]
+
+
+def assert_matches_reference(args):
+    form, want = ClosedForm(*args), reference_form(*args)
+    assert (form.scalar, type(form.scalar)) == (want.scalar, F)
+    assert typed_items(form) == typed_items(want)
+    assert form._plan == want._plan
+    for fmt in FORMATS:
+        assert render(form, fmt) == render(want, fmt), fmt
+    return form
+
+
+# Keys that are not ints; each is put on a zero coefficient or an empty combo.
+BAD_KEYS = (0.5, 2.0, True, "x", None)
+
+
+def draw_body(rng):
+    """0-4 k-exponents of 0-4 cells each: zeros, ints and Fractions of either sign."""
+    coefficient = (
+        lambda: rng.choice((0, F(0))),
+        lambda: rng.randrange(-30, 31),
+        lambda: F(rng.randrange(-60, 61), rng.randrange(1, 40)),
+    )
+    return {
+        rng.randrange(-20, 5): {rng.randrange(1, 20): rng.choice(coefficient)() for _ in range(rng.randrange(5))}
+        for _ in range(rng.randrange(5))
+    }
+
+
+def with_bad_key(rng, body):
+    """``body`` with one key from BAD_KEYS on a zero cell or an empty combo, at a random place."""
+    key = rng.choice(BAD_KEYS)
+    exponents = [item for item in body.items() if item[0] != key]
+    if rng.randrange(2):
+        exponents.insert(rng.randrange(len(exponents) + 1), (key, rng.choice(({}, {2: 0}, {3: F(0)}))))
+        return dict(exponents), "k-exponent", key
+    e = rng.randrange(-20, 5)
+    cells = [item for item in body.get(e, {}).items() if item[0] != key]
+    cells.insert(rng.randrange(len(cells) + 1), (key, rng.choice((0, F(0)))))
+    return {**body, e: dict(cells)}, "Jordan index", key
+
+
+class TestReferenceRule:
+    def test_random_bodies_match_the_reference(self):
+        rng = random.Random(2113)
+        seen = {"zero": 0, "int": 0, "Fraction": 0, "negative lead": 0, "zero form": 0}
+        exponent_counts = set()
+        for _ in range(2500):
+            body = draw_body(rng)
+            scalar = rng.choice((rng.randrange(-9, 10), F(rng.randrange(-9, 10), rng.randrange(1, 9))))
+            form = assert_matches_reference((scalar, rng.randrange(0, 13), rng.randrange(0, 3), body))
+            cells = [c for combo in body.values() for c in combo.values()]
+            seen["zero"] += any(c == 0 for c in cells)
+            seen["int"] += any(type(c) is int for c in cells)
+            seen["Fraction"] += any(type(c) is F for c in cells)
+            nonzero = {e: {s: c for s, c in combo.items() if c} for e, combo in body.items()}
+            nonzero = {e: combo for e, combo in nonzero.items() if combo}
+            seen["negative lead"] += bool(nonzero) and nonzero[max(nonzero)][max(nonzero[max(nonzero)])] < 0
+            seen["zero form"] += not form.body
+            exponent_counts.add(len(body))
+            # every key is checked before a zero cell or an empty combo is dropped
+            bad, param, key = with_bad_key(rng, body)
+            with pytest.raises(ValueError) as info:
+                ClosedForm(F(1), 2, 1, bad)
+            assert str(info.value) == f"ClosedForm: {param} must be an integer, got {key!r}"
+        assert exponent_counts == {0, 1, 2, 3, 4}
+        assert min(seen.values()) >= 100, seen
+
+    def test_cached_forms_match_the_reference(self, monkeypatch):
+        # record the raw arguments the builders pass, rebuilding each cached form
+        ranks = [*range(1, 42, 2), *range(4, 41, 2)]
+        cached = [mean_square.mean_square_odd(r) if r % 2 else mean_square.mean_square_even(r) for r in ranks]
+        raw = []
+
+        def record(**kwargs):
+            raw.append((kwargs["scalar"], kwargs["pi_exp"], kwargs["phi_exp"], kwargs["body"]))
+            return ClosedForm(**kwargs)
+
+        monkeypatch.setattr(mean_square, "ClosedForm", record)
+        assert [mean_square._mean_square.__wrapped__(r) for r in ranks] == cached
+        for r in range(2, 41, 2):
+            mean_square.l_principal_closed_form(r)
+        assert len(raw) == 21 + 1 + 19 + 20  # r = 1 adds its correction
+        for args in raw:
+            assert_matches_reference(args)
 
 
 R5_FORM = ClosedForm(scalar=F(1, 187110), pi_exp=10, phi_exp=1, body={-10: {10: F(1), 4: F(-22), 2: F(-231)}})
