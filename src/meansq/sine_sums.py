@@ -26,8 +26,8 @@ Bernoulli/binomial sums never normalize a fraction:
   n [e = 1], into integer cells over lcm(B_q denominators) * n!;
 * ``_expand_laurent`` collects a {(k-exponent, order of R): numerator}
   table into one integer {sine order: numerator} table per k-exponent,
-  reads the sine sums' numerators over their lcm, and divides once per
-  (k-exponent, Jordan index).  The mean-square builders use it too.
+  multiply-adds it over the sine sums' cached integer rows, and divides
+  once per (k-exponent, Jordan index).  The mean-square builders use it too.
 
 The final answer is k-free, so after collecting terms every nonzero k-power
 must have an identically zero coefficient.  That cancellation is *checked*
@@ -38,9 +38,9 @@ error, since the published expansions carry no k).
 ``recip_power_real_sum(n)`` publishes R(n) as a Jordan combination.
 
 The sine sums and R(n) tables are cached read-only mappings, shared inside
-the package; ``sin_sum_exact`` returns a fresh dict.  Each cached sine sum's
-evaluation plan is kept by ``symbolic``, so ``evaluate_jordan`` on an
-unchanged copy reuses it.
+the package; ``sin_sum_exact`` returns a fresh dict.  ``_sin`` caches each
+sum with its integer row, read by ``_expand_laurent`` and, in the plan that
+``symbolic`` keeps, by ``evaluate_jordan`` on an unchanged copy.
 """
 
 from __future__ import annotations
@@ -69,10 +69,9 @@ class UncancelledPowerError(RuntimeError):
 
 
 @cache
-def _sin(n: int) -> Mapping[int, Fraction]:
-    """The order-n sum, frozen; lower orders are built first, so recursion stays shallow.
-
-    Its evaluation plan is kept in ``symbolic`` for ``evaluate_jordan``.
+def _sin(n: int) -> tuple[Mapping[int, Fraction], tuple[tuple[int, int], ...], int]:
+    """(sum, row, d): the order-n sum, frozen, and its (Jordan index, numerator) pairs
+    in key order over their lcm d.  Lower orders are built first, so recursion stays shallow.
     """
     if n == 0:
         combo = {1: Fraction(1)}
@@ -86,8 +85,10 @@ def _sin(n: int) -> Mapping[int, Fraction]:
                 f"sine power sum of order {n}: k-exponents {stray} survived collection"
             )
         combo = laurent.get(0, {})
-    _keep_jordan_plan(combo)
-    return _frozen(combo)
+    d = lcm(*[c.denominator for c in combo.values()])
+    row = tuple([(s, c.numerator * (d // c.denominator)) for s, c in combo.items()])
+    _keep_jordan_plan(combo, row, d)
+    return _frozen(combo), row, d
 
 
 @cache
@@ -116,32 +117,31 @@ def _expand_laurent(table: Mapping[tuple[int, int], int], den: int = 1, exclude:
     The sine sum of order ``exclude`` is left out of every R(n); this is how
     the induction in sin_sum_exact removes the top-order sum it is solving
     for.  The integer numerators are first collected per (k-exponent, sine
-    order) over the lcm of the R(n) denominators; each sine sum is then read
-    as numerators over the lcm of its coefficients' denominators, and each
+    order) over the lcm of the R(n) denominators, then scaled to the lcm of the
+    sine sums' row denominators and multiply-added over each cached row; each
     (k-exponent, Jordan index) is divided by the one common denominator once.
     """
     recip = {n: _recip_power_real(n) for _, n in table}
     rden = lcm(*[d for _, d in recip.values()])
     by_exponent: dict[int, dict[int, int]] = {}
     for (e, n), v in table.items():
-        if not v:
-            continue
         sines, d = recip[n]
         v *= rden // d
         cell = by_exponent.setdefault(e, {})
         for m, c in sines.items():
             if m != exclude:
                 cell[m] = cell.get(m, 0) + v * c
-    orders = {m for cell in by_exponent.values() for m, x in cell.items() if x}
-    sden = lcm(*[c.denominator for m in orders for c in _sin(m).values()])
-    sin_ints = {m: [(s, c.numerator * (sden // c.denominator)) for s, c in _sin(m).items()] for m in orders}
+    rows = {m: _sin(m) for cell in by_exponent.values() for m, x in cell.items() if x}
+    sden = lcm(*[d for _, _, d in rows.values()])
     total = den * rden * sden
     out: KLaurent = {}
     for e, cell in by_exponent.items():
         acc: dict[int, int] = {}
         for m, x in cell.items():
             if x:
-                for s, c in sin_ints[m]:
+                _, row, d = rows[m]
+                x *= sden // d
+                for s, c in row:
                     acc[s] = acc.get(s, 0) + x * c
         combo = {s: Fraction(v, total) for s, v in acc.items() if v}
         if combo:
@@ -182,7 +182,7 @@ def sin_sum_exact(n: int) -> JordanCombo:
     _check_int("sin_sum_exact", "n", n, 0)
     if n % 2:
         raise ValueError(f"sin_sum_exact: n must be even, got {n}")
-    return _sin(n).copy()
+    return _sin(n)[0].copy()
 
 
 def sin_sum_numeric(n: int, k: int, precision_bits: int = 128):

@@ -30,9 +30,9 @@ moduli: every evaluation at one k, of forms and sine sums alike, shares one
 factorization of k and forms each J_s(k) once.  ``evaluate_laurent`` builds
 the same plan from its argument on each call and shares the evaluator.
 ``evaluate_jordan`` does too, except for a combo equal to a cached sine sum:
-``sine_sums`` keeps each sum's plan here when it caches the sum, and that
-plan is reused.  ``evaluate_closed_form`` rounds the exact ratio times a
-cached power of pi in integers, with the roundings of mpmath's arithmetic.
+its kept plan wraps the integer row that ``sine_sums`` reads in its expansion.
+``evaluate_closed_form`` rounds the exact ratio times a cached power of pi
+in integers, with the roundings of mpmath's arithmetic.
 
 Renders of a ``ClosedForm`` are cached on the form, one string per format,
 filled on first use: the form is immutable, so the bytes cannot change.
@@ -130,13 +130,16 @@ def _build_plan(laurent: Mapping, caller: str, scalar: Fraction | int = 1, phi_e
     ascending distinct Jordan indices (with 1 when phi_exp > 0), so one
     Jordan table serves the whole evaluation.  A canonical ``ClosedForm``
     body has integer coefficients, so its lcm is 1.  Every k-exponent and
-    Jordan index must be an int, or a ``ValueError`` names ``caller``: this
-    is where every table turns into integers.
+    Jordan index must be an int and every coefficient an int or a
+    ``Fraction`` (a bool is neither), or a ``ValueError`` names ``caller``:
+    this is where every table turns into integers.
     """
     for e, combo in laurent.items():
         _check_int(caller, "k-exponent", e)
-        for s in combo:
+        for s, c in combo.items():
             _check_int(caller, "Jordan index", s)
+            if type(c) is not int and not isinstance(c, Fraction):
+                raise ValueError(f"{caller}: coefficient of Jordan index {s} must be an int or a Fraction, got {c!r}")
     # A list, not a generator: on CPython 3.11, unpacking generators of
     # varying length into arguments left ~1 MB more peak RSS in a warm session.
     den = math.lcm(*[c.denominator for combo in laurent.values() for c in combo.values()])
@@ -182,31 +185,32 @@ def _plan_ratio(plan: tuple, k: int, caller: str) -> tuple[int, int]:
 _JORDAN_PLANS: dict[int, tuple[JordanCombo, tuple]] = {}
 
 
-def _keep_jordan_plan(combo: JordanCombo) -> None:
-    """Keep the plan of a cached combo for ``evaluate_jordan``.
+def _keep_jordan_plan(combo: JordanCombo, row: tuple[tuple[int, int], ...], den: int) -> None:
+    """Keep the plan of a cached combo for ``evaluate_jordan``, around its row over ``den``.
 
     Copies of the cached value share its ``Fraction`` objects, so the
     equality test that guards the plan is an identity check per coefficient.
     """
-    _JORDAN_PLANS[max(combo)] = combo, _build_plan({0: combo}, "sin_sum_exact")
+    _JORDAN_PLANS[max(combo)] = combo, (1, den, 0, 0, ((0, row),), tuple(sorted(combo)))
 
 
 def evaluate_jordan(combo: JordanCombo, k: int) -> Fraction:
     """sum_s coeff * J_s(k), exact.
 
     A combo equal to a cached sine sum reuses that sum's plan without the
-    key check of ``_build_plan``, so a warm evaluation does not pay for it.
-    Only an int top index is looked up, so a combo whose top key is a bool
-    or a float, or whose keys do not compare, still reaches the check; a
-    lower key equal to one of the sum's int keys (2.0 == 2) is evaluated as
-    that int.
+    checks of ``_build_plan``, so a warm evaluation does not pay for them.
+    Only an int top index with a ``Fraction`` coefficient is looked up, so a
+    combo whose top key is a bool or a float, whose top coefficient is not a
+    ``Fraction`` ({1: True} equals ``sin_sum_exact(0)``), or whose keys do
+    not compare, still reaches the checks; a lower key or coefficient equal
+    to one of the sum's (2.0 == 2) is evaluated as the sum's.
     """
     _check_int("evaluate_jordan", "k", k, 1)
     try:
         top = max(combo) if combo else None
     except TypeError:
         top = None
-    kept = _JORDAN_PLANS.get(top) if type(top) is int else None
+    kept = _JORDAN_PLANS.get(top) if type(top) is int and type(combo[top]) is Fraction else None
     if kept is not None and kept[0] == combo:
         return Fraction(*_plan_ratio(kept[1], k, "evaluate_jordan"))
     return Fraction(*_plan_ratio(_build_plan({0: combo}, "evaluate_jordan"), k, "evaluate_jordan"))
@@ -470,9 +474,20 @@ def _json_int(function: str, param: str, value):
         raise ValueError(f"{function}: {param} must be an integer, got {value!r}") from None
 
 
+def _json_fraction(function: str, param: str, value) -> Fraction:
+    """A scalar or coefficient (a "p/q" string or a number) as a ``Fraction``; a ``ValueError`` otherwise."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{function}: {param} must be a rational number, got {value!r}") from None
+
+
 def _json_object(function: str, param: str, data) -> Mapping:
     """``data``, decoded first if it is a string, when it is a JSON object; a ``ValueError`` otherwise."""
-    data = json.loads(data) if isinstance(data, str) else data
+    try:
+        data = json.loads(data) if isinstance(data, str) else data
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{function}: {param} must be a JSON object, got invalid JSON ({error})") from None
     if not isinstance(data, Mapping):
         raise ValueError(f"{function}: {param} must be a JSON object, got {type(data).__name__}")
     return data
@@ -480,9 +495,11 @@ def _json_object(function: str, param: str, data) -> Mapping:
 
 def parse_jordan_combo(data: str | dict) -> JordanCombo:
     data = _json_object("parse_jordan_combo", "data", data)
-    combo = {_json_int("parse_jordan_combo", "Jordan index", s): Fraction(c) for s, c in data.items()}
-    for s in combo:
+    combo = {}
+    for s, c in data.items():
+        s = _json_int("parse_jordan_combo", "Jordan index", s)
         _check_int("parse_jordan_combo", "Jordan index", s)
+        combo[s] = _json_fraction("parse_jordan_combo", f"coefficient of Jordan index {s}", c)
     return {s: c for s, c in combo.items() if c}
 
 
@@ -495,7 +512,7 @@ def parse_closed_form(data: str | dict) -> ClosedForm:
         raise ValueError(f"parse_closed_form: data has no key {error}") from None
     body = _json_object("parse_closed_form", "body", body)
     return ClosedForm(
-        scalar=Fraction(scalar),
+        scalar=_json_fraction("parse_closed_form", "scalar", scalar),
         pi_exp=_json_int("parse_closed_form", "pi_exp", pi_exp),
         phi_exp=_json_int("parse_closed_form", "phi_exp", phi_exp),
         body={_json_int("parse_closed_form", "k-exponent", e): parse_jordan_combo(combo) for e, combo in body.items()},

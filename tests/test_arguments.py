@@ -231,7 +231,32 @@ def test_parsed_exponent_is_checked(param, value):
     assert str(info.value) == f"ClosedForm: {param} must be an integer >= 0, got {value!r}"
 
 
+# (function, a call of it with a table whose coefficient at Jordan index 2 is ``c``)
+COEFFICIENT_CALLS = [
+    ("ClosedForm", lambda c: ClosedForm(Fraction(1), 2, 1, {0: {2: c}})),
+    ("ClosedForm", lambda c: ClosedForm(Fraction(1), 2, 1, {1: {4: Fraction(1)}, 0: {3: 1, 2: c}})),
+    ("evaluate_jordan", lambda c: evaluate_jordan({2: c}, 7)),
+    ("evaluate_laurent", lambda c: evaluate_laurent({0: {2: c}}, 7)),
+]
+
+
+@pytest.mark.parametrize("c", (0.5, 0.0, "1/3", True, None), ids=repr)
+@pytest.mark.parametrize("function,call", COEFFICIENT_CALLS, ids=["form", "form-lower", "jordan", "laurent"])
+def test_coefficient_is_checked(function, call, c):
+    # a coefficient is an int (not a bool) or a Fraction, zero coefficients included
+    with pytest.raises(ValueError) as info:
+        call(c)
+    assert str(info.value) == f"{function}: coefficient of Jordan index 2 must be an int or a Fraction, got {c!r}"
+
+
+def test_int_and_fraction_coefficients_are_read():
+    assert ClosedForm(Fraction(1), 2, 1, {0: {2: 2, 1: Fraction(4)}}) == ClosedForm(Fraction(2), 2, 1, {0: {2: 1, 1: 2}})
+    assert evaluate_jordan({2: 1, 1: Fraction(1, 2)}, 7) == 51
+    assert evaluate_laurent({-1: {2: 7}}, 7) == 48
+
+
 FORM_DATA = {"scalar": "1", "pi_exp": 2, "phi_exp": 1, "body": {"0": {"2": "1"}}}
+BAD_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
 
 
 MALFORMED = [
@@ -246,6 +271,15 @@ MALFORMED = [
     ("form-list-combo", parse_closed_form, {**FORM_DATA, "body": {"0": [1]}}, "parse_jordan_combo: data must be a JSON object, got list"),
     ("form-list", parse_closed_form, "[1, 2]", "parse_closed_form: data must be a JSON object, got list"),
     ("form-number", parse_closed_form, "7", "parse_closed_form: data must be a JSON object, got int"),
+    ("combo-word-coefficient", parse_jordan_combo, {"2": "x"}, "parse_jordan_combo: coefficient of Jordan index 2 must be a rational number, got 'x'"),
+    ("combo-null-coefficient", parse_jordan_combo, {"2": None}, "parse_jordan_combo: coefficient of Jordan index 2 must be a rational number, got None"),
+    ("combo-infinite-coefficient", parse_jordan_combo, '{"2": Infinity}', "parse_jordan_combo: coefficient of Jordan index 2 must be a rational number, got inf"),
+    ("combo-bad-json", parse_jordan_combo, "{bad", f"parse_jordan_combo: data must be a JSON object, got invalid JSON ({BAD_JSON})"),
+    ("form-zero-denominator-scalar", parse_closed_form, {**FORM_DATA, "scalar": "1/0"}, "parse_closed_form: scalar must be a rational number, got '1/0'"),
+    ("form-list-scalar", parse_closed_form, {**FORM_DATA, "scalar": [1]}, "parse_closed_form: scalar must be a rational number, got [1]"),
+    ("form-zero-denominator-coefficient", parse_closed_form, {**FORM_DATA, "body": {"0": {"2": "1/0"}}}, "parse_jordan_combo: coefficient of Jordan index 2 must be a rational number, got '1/0'"),
+    ("form-bad-json", parse_closed_form, "{bad", f"parse_closed_form: data must be a JSON object, got invalid JSON ({BAD_JSON})"),
+    ("form-bad-json-body", parse_closed_form, {**FORM_DATA, "body": "{bad"}, f"parse_closed_form: body must be a JSON object, got invalid JSON ({BAD_JSON})"),
     *[
         (f"form-no-{key}", parse_closed_form, {k: v for k, v in FORM_DATA.items() if k != key}, f"parse_closed_form: data has no key {key!r}")
         for key in FORM_DATA
@@ -257,6 +291,7 @@ MALFORMED = [
 def test_malformed_json_names_the_parser(parse, data, message):
     with pytest.raises(ValueError) as info:
         parse(data)
+    assert info.type is ValueError
     assert str(info.value) == message
 
 
@@ -280,3 +315,12 @@ def test_key_equal_to_a_cached_sine_sum_key_is_refused():
         with pytest.raises(ValueError, match="evaluate_jordan: Jordan index must be an integer"):
             evaluate_jordan(combo, 7)
     assert evaluate_jordan(sin_sum_exact(2), 7) == 16
+
+
+def test_coefficient_equal_to_a_cached_sine_sum_coefficient_is_refused():
+    # sin_sum_exact(0) == {1: 1} keeps a plan that {1: True} and {1: 1.0} would equal
+    for c in (True, 1.0):
+        assert sin_sum_exact(0) == {1: c}
+        with pytest.raises(ValueError, match="evaluate_jordan: coefficient of Jordan index 1 must be an int or a Fraction"):
+            evaluate_jordan({1: c}, 7)
+    assert evaluate_jordan({1: 1}, 7) == evaluate_jordan(sin_sum_exact(0), 7) == 6

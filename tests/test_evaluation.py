@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from meansq import multiplicative, symbolic
+from meansq import multiplicative, sine_sums, symbolic
 from meansq.mean_square import mean_square_even, mean_square_odd
 from meansq.multiplicative import euler_phi, factorize, jordan_totient
 from meansq.sine_sums import UncancelledPowerError, sin_sum_exact
@@ -337,6 +337,20 @@ class TestKeptSinePlans:
             for k in PLAN_MODULI:
                 value = evaluate_jordan(fresh, k)
                 assert value == evaluate_jordan(sin_sum_exact(n), k) == ref_combo(fresh, k), (n, k)
+
+    def test_kept_plan_wraps_the_cached_row(self):
+        # the kept plan is the one _build_plan would make, around the very row
+        # that the Laurent expansion reads; clearing the sine-sum cache
+        # replaces both on the next build
+        before = sine_sums._sin(20)[1]
+        sine_sums._sin.cache_clear()
+        for n in range(0, 21, 2):
+            combo, row, den = sine_sums._sin(n)
+            plan = symbolic._JORDAN_PLANS[max(combo)][1]
+            assert plan == symbolic._build_plan({0: combo}, "evaluate_jordan"), n
+            assert plan[4][0][1] is row, n
+            assert den == math.lcm(*[c.denominator for c in combo.values()]), n
+        assert sine_sums._sin(20)[1] is not before
 
     def test_values_after_the_cache_is_rebuilt(self, corrupted_induction):
         # The fixture emptied the sine-sum cache: the orders below the

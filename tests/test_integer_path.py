@@ -180,3 +180,77 @@ def test_built_tables_hold_no_zero_cell(monkeypatch):
             sine_sums._recursion_laurent(r)
     assert len(fed) == 59 * 8 + 29  # per r: power sum, 1 + 3 + 3 sigma tables, induction at even r
     assert all(v for table in fed for v in table.values())
+
+
+def reference_expand_laurent(table, den=1, exclude=None):
+    """The Laurent expansion by the per-call rule: each sine sum read again from its ``Fraction``s.
+
+    The R(n) numerators are collected per (k-exponent, sine order) as the
+    builder collects them; then, on every call, each sine sum read is turned
+    into integers over the lcm of every denominator of every sum read, not
+    taken from the sum's cached row.
+    """
+    recip = {n: _recip_power_real(n) for _, n in table}
+    rden = math.lcm(*[d for _, d in recip.values()])
+    by_exponent = {}
+    for (e, n), v in table.items():
+        sines, d = recip[n]
+        cell = by_exponent.setdefault(e, {})
+        for m, c in sines.items():
+            if m != exclude:
+                cell[m] = cell.get(m, 0) + v * (rden // d) * c
+    orders = {m for cell in by_exponent.values() for m, x in cell.items() if x}
+    sums = {m: sine_sums.sin_sum_exact(m) for m in orders}
+    sden = math.lcm(*[c.denominator for combo in sums.values() for c in combo.values()])
+    sin_ints = {m: [(s, c.numerator * (sden // c.denominator)) for s, c in combo.items()] for m, combo in sums.items()}
+    out = {}
+    for e, cell in by_exponent.items():
+        acc = {}
+        for m, x in cell.items():
+            if x:
+                for s, c in sin_ints[m]:
+                    acc[s] = acc.get(s, 0) + x * c
+        combo = {s: Fraction(v, den * rden * sden) for s, v in acc.items() if v}
+        if combo:
+            out[e] = combo
+    return out
+
+
+def in_order(laurent):
+    """A Laurent table as nested lists, so that equality also checks the key order."""
+    return [(e, list(combo.items())) for e, combo in laurent.items()]
+
+
+@pytest.fixture
+def reference_expansion(monkeypatch):
+    """Call a builder with every Laurent expansion done by the per-call rule."""
+
+    def call(builder, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(sine_sums, "_expand_laurent", reference_expand_laurent)
+            patch.setattr(mean_square, "_expand_laurent", reference_expand_laurent)
+            return builder(*args)
+
+    return call
+
+
+def test_sine_rows_match_the_per_call_rule(reference_expansion):
+    # the cached rows give the values, and the key order, of reading every
+    # sine sum's Fractions again on each call; every sum read below is built
+    # first, by the cached rows, so that no sum is built by the reference
+    sine_sums.sin_sum_exact(60)
+    for n in range(1, 41):
+        want = reference_expansion(sine_sums.recip_power_real_sum, n)
+        assert list(sine_sums.recip_power_real_sum(n).items()) == list(want.items()), n
+    for p in range(1, 9):
+        for q in range(1, 9):
+            want = reference_expansion(mean_square._exp_product.__wrapped__, min(p, q), max(p, q))
+            assert in_order(mean_square.exp_product_real(p, q)) == in_order(want), (p, q)
+    for r in range(1, 22):
+        for kind in ("single", "reflected", "direct"):
+            want = reference_expansion(mean_square._sigma.__wrapped__, kind, r)
+            assert in_order(mean_square._sigma(kind, r)) == in_order(want), (kind, r)
+    for n in range(2, 61, 2):
+        want = reference_expansion(sine_sums._recursion_laurent, n)
+        assert list(want) == [0], n
+        assert list(sine_sums.sin_sum_exact(n).items()) == list(want[0].items()), n
