@@ -38,10 +38,9 @@ The closed forms read the same blocks.  The kind picks:
 * ``direct``    (``sigma2`` / ``sigma2_prime``) -- the direct product block.
 
 All builders are pure and memoized with ``functools.cache``.  The cached
-tables, sigma blocks and product sums are read-only mappings, shared inside
-the package; the public functions that return a ``KLaurent`` hand out a
-fresh plain-dict copy.  The final closed forms are cached per r, so a
-repeated ``mean_square_odd(r)`` returns the same immutable object.
+tables, sigma blocks, product sums and closed forms are read-only, and each
+getter returns the cached value itself: a repeated ``sigma2(h)`` or
+``mean_square_odd(r)`` returns the same object.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from functools import cache
 from .exact import _bernoulli_weights, _weighted_cells, bernoulli, factorial
 from .multiplicative import _check_int
 from .sine_sums import _expand_laurent
-from .symbolic import ClosedForm, KLaurent, _frozen, _thawed, evaluate_laurent, kl_shift
+from .symbolic import ClosedForm, KLaurent, _frozen, evaluate_laurent, kl_shift
 
 __all__ = [
     "exp_product_real",
@@ -120,10 +119,10 @@ def _exp_product(p: int, q: int) -> Mapping:
 
 
 def exp_product_real(p: int, q: int) -> KLaurent:
-    """The memoized product sum, as a fresh KLaurent."""
+    """The memoized product sum, read-only; (p, q) and (q, p) share one value."""
     _check_int("exp_product_real", "p", p, 1)
     _check_int("exp_product_real", "q", q, 1)
-    return _thawed(_exp_product(p, q))
+    return _exp_product(p, q)
 
 
 def power_sum_real(p: int) -> KLaurent:
@@ -177,13 +176,13 @@ def sigma2(h: int) -> KLaurent:
     k^(q1+q2-4h-2) times the (2h+1-q1, 2h+1-q2) product sum.
     """
     _check_int("sigma2", "h", h, 1)
-    return _thawed(_sigma("direct", 2 * h + 1))
+    return _sigma("direct", 2 * h + 1)
 
 
 def sigma1(h: int) -> KLaurent:
     """Reflected block of the odd case."""
     _check_int("sigma1", "h", h, 1)
-    return _thawed(_sigma("reflected", 2 * h + 1))
+    return _sigma("reflected", 2 * h + 1)
 
 
 def sigma0(h: int) -> KLaurent:
@@ -193,25 +192,25 @@ def sigma0(h: int) -> KLaurent:
     h >= 1: the inner Bernoulli-binomial sum over q2 is exactly zero then.
     """
     _check_int("sigma0", "h", h, 0)
-    return _thawed(_sigma("single", 2 * h + 1))
+    return _sigma("single", 2 * h + 1)
 
 
 def sigma2_prime(h: int) -> KLaurent:
     """Direct product block of the even case (q1, q2 stop at 2h - 1; B_(2h-1) = 0)."""
     _check_int("sigma2_prime", "h", h, 2)
-    return _thawed(_sigma("direct", 2 * h))
+    return _sigma("direct", 2 * h)
 
 
 def sigma1_prime(h: int) -> KLaurent:
     """Reflected block of the even case."""
     _check_int("sigma1_prime", "h", h, 2)
-    return _thawed(_sigma("reflected", 2 * h))
+    return _sigma("reflected", 2 * h)
 
 
 def sigma0_prime(h: int) -> KLaurent:
     """Single-exponential block of the even case; empty for every h >= 2."""
     _check_int("sigma0_prime", "h", h, 2)
-    return _thawed(_sigma("single", 2 * h))
+    return _sigma("single", 2 * h)
 
 
 # ---------------------------------------------------------------------------

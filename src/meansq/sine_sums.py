@@ -37,10 +37,9 @@ error, since the published expansions carry no k).
 
 ``recip_power_real_sum(n)`` publishes R(n) as a Jordan combination.
 
-The sine sums and R(n) tables are cached read-only mappings, shared inside
-the package; ``sin_sum_exact`` returns a fresh dict.  ``_sin`` caches each
-sum with its integer row, read by ``_expand_laurent`` and, in the plan that
-``symbolic`` keeps, by ``evaluate_jordan`` on an unchanged copy.
+The sine sums and R(n) tables are cached read-only dicts, and ``sin_sum_exact``
+returns the cached sum itself.  ``_sin`` keeps each sum's integer row, read by
+``_expand_laurent`` and, in the plan the sum carries, by ``evaluate_jordan``.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from mpmath import mp
 
 from .exact import _bernoulli_weights, _weighted_cells, bernoulli
 from .multiplicative import _check_int, coprime_residues
-from .symbolic import JordanCombo, KLaurent, _frozen, _keep_jordan_plan
+from .symbolic import JordanCombo, KLaurent, _frozen, _planned
 
 __all__ = [
     "UncancelledPowerError",
@@ -70,8 +69,8 @@ class UncancelledPowerError(RuntimeError):
 
 @cache
 def _sin(n: int) -> tuple[Mapping[int, Fraction], tuple[tuple[int, int], ...], int]:
-    """(sum, row, d): the order-n sum, frozen, and its (Jordan index, numerator) pairs
-    in key order over their lcm d.  Lower orders are built first, so recursion stays shallow.
+    """(sum, row, d): the order-n sum, frozen with its plan, and its (Jordan index, numerator)
+    pairs in key order over their lcm d.  Lower orders are built first, so recursion stays shallow.
     """
     if n == 0:
         combo = {1: Fraction(1)}
@@ -87,8 +86,7 @@ def _sin(n: int) -> tuple[Mapping[int, Fraction], tuple[tuple[int, int], ...], i
         combo = laurent.get(0, {})
     d = lcm(*[c.denominator for c in combo.values()])
     row = tuple([(s, c.numerator * (d // c.denominator)) for s, c in combo.items()])
-    _keep_jordan_plan(combo, row, d)
-    return _frozen(combo), row, d
+    return _planned(combo, row, d), row, d
 
 
 @cache
@@ -176,13 +174,13 @@ def sin_sum_exact(n: int) -> JordanCombo:
 
     The order-0 sum counts coprime residues, i.e. phi(k) = J_1(k).  Higher
     even orders are built bottom-up; the whole table up to n is memoized,
-    and each call returns a fresh dict.  Odd n is rejected: every consumer
-    here needs even orders only.
+    and each call returns the cached read-only dict.  Odd n is rejected:
+    every consumer here needs even orders only.
     """
     _check_int("sin_sum_exact", "n", n, 0)
     if n % 2:
         raise ValueError(f"sin_sum_exact: n must be even, got {n}")
-    return _sin(n)[0].copy()
+    return _sin(n)[0]
 
 
 def sin_sum_numeric(n: int, k: int, precision_bits: int = 128):

@@ -18,8 +18,8 @@ positive lead.  That makes structural equality agree with mathematical
 equality for the forms produced here, and makes renders reproduce the
 familiar presentation (e.g. a single 1/187110 prefactor).
 
-A ``ClosedForm`` is immutable and hashable (its body is ``_frozen``), so one
-form can be memoized and shared; the builders memoize ``_frozen`` tables.
+Every shared value, a ``ClosedForm`` body or a cached table, is a read-only
+dict (``_Frozen``) handed out as it is, so a form is immutable and hashable.
 
 Each form carries its evaluation plan, built once from the canonical body:
 the lowest k-exponent, the (Jordan index, integer coefficient) pairs of each
@@ -27,10 +27,9 @@ exponent and the distinct Jordan indices.  Evaluating at k reads only the
 plan and k's table of the J_s(k), then sums in integers, with one reduction
 at the end.  That table lives in ``multiplicative``'s cache of the last 16
 moduli: every evaluation at one k, of forms and sine sums alike, shares one
-factorization of k and forms each J_s(k) once.  ``evaluate_laurent`` builds
-the same plan from its argument on each call and shares the evaluator.
-``evaluate_jordan`` does too, except for a combo equal to a cached sine sum:
-its kept plan wraps the integer row that ``sine_sums`` reads in its expansion.
+factorization of k and forms each J_s(k) once.  ``evaluate_laurent`` and
+``evaluate_jordan`` plan their argument on each call, but a cached sine sum
+carries its plan, around the integer row that ``sine_sums`` reads.
 ``evaluate_closed_form`` rounds the exact ratio times a cached power of pi
 in integers, with the roundings of mpmath's arithmetic.
 
@@ -46,7 +45,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
 
 from mpmath import mp
 from mpmath.libmp import MPZ
@@ -111,14 +109,52 @@ def kl_shift(a: KLaurent, t: int) -> KLaurent:
     return {e + t: dict(combo) for e, combo in a.items()}
 
 
-def _frozen(table: Mapping) -> Mapping:
+class _Frozen(dict):
+    """A read-only dict, hashed by its items; ``dict(v)`` and ``v.copy()`` give a plain one.
+
+    A pickle or copy is an equal ``_Frozen`` without ``_plan``, which only a
+    cached sine sum sets (``_planned``), for ``evaluate_jordan`` to read.
+    """
+
+    __slots__ = ("_plan",)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a cached table or ClosedForm body cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return _Frozen, (dict(self),)
+
+
+def _frozen(table: Mapping) -> _Frozen:
     """Read-only copy of a combo, Laurent or scalar table; nested maps are frozen too."""
-    return MappingProxyType({key: _frozen(v) if isinstance(v, Mapping) else v for key, v in table.items()})
+    return _Frozen({key: _frozen(v) if isinstance(v, Mapping) else v for key, v in table.items()})
 
 
-def _thawed(laurent: Mapping) -> KLaurent:
-    """Fresh plain-dict copy of a frozen KLaurent."""
-    return {e: combo.copy() for e, combo in laurent.items()}
+def _planned(combo: JordanCombo, row: tuple[tuple[int, int], ...], den: int) -> _Frozen:
+    """``combo`` frozen, carrying the plan ``_build_plan`` would make of it, around its row over ``den``."""
+    frozen = _frozen(combo)
+    frozen._plan = 1, den, 0, 0, ((0, row),), tuple(sorted(combo))
+    return frozen
+
+
+def _check_rational(caller: str, param: str, value) -> None:
+    """An int (not a bool) or a ``Fraction``, or a ``ValueError`` naming ``caller`` and ``param``."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise ValueError(f"{caller}: {param} must be an int or a Fraction, got {value!r}")
+
+
+def _check_laurent(caller: str, laurent: Mapping) -> None:
+    """Every k-exponent and Jordan index an int, every coefficient an int or a ``Fraction``."""
+    for e, combo in laurent.items():
+        _check_int(caller, "k-exponent", e)
+        for s, c in combo.items():
+            _check_int(caller, "Jordan index", s)
+            _check_rational(caller, f"coefficient of Jordan index {s}", c)
 
 
 def _build_plan(laurent: Mapping, caller: str, scalar: Fraction | int = 1, phi_exp: int = 0) -> tuple:
@@ -129,17 +165,11 @@ def _build_plan(laurent: Mapping, caller: str, scalar: Fraction | int = 1, phi_e
     one row (e - low, ((s, c), ...)) per exponent with integer c, and the
     ascending distinct Jordan indices (with 1 when phi_exp > 0), so one
     Jordan table serves the whole evaluation.  A canonical ``ClosedForm``
-    body has integer coefficients, so its lcm is 1.  Every k-exponent and
-    Jordan index must be an int and every coefficient an int or a
-    ``Fraction`` (a bool is neither), or a ``ValueError`` names ``caller``:
-    this is where every table turns into integers.
+    body has integer coefficients, so its lcm is 1.  ``_check_laurent``
+    checks every key and coefficient first, naming ``caller``: this is where
+    every table turns into integers.
     """
-    for e, combo in laurent.items():
-        _check_int(caller, "k-exponent", e)
-        for s, c in combo.items():
-            _check_int(caller, "Jordan index", s)
-            if type(c) is not int and not isinstance(c, Fraction):
-                raise ValueError(f"{caller}: coefficient of Jordan index {s} must be an int or a Fraction, got {c!r}")
+    _check_laurent(caller, laurent)
     # A list, not a generator: on CPython 3.11, unpacking generators of
     # varying length into arguments left ~1 MB more peak RSS in a warm session.
     den = math.lcm(*[c.denominator for combo in laurent.values() for c in combo.values()])
@@ -179,41 +209,18 @@ def _plan_ratio(plan: tuple, k: int, caller: str) -> tuple[int, int]:
     return num * k**low, den
 
 
-# Plans of the cached sine sums, keyed by top Jordan index: (combo, plan).
-# A plan serves only a combo equal to the one it was built from, so a stale
-# entry or a mutated copy costs a plan build, never a wrong value.
-_JORDAN_PLANS: dict[int, tuple[JordanCombo, tuple]] = {}
-
-
-def _keep_jordan_plan(combo: JordanCombo, row: tuple[tuple[int, int], ...], den: int) -> None:
-    """Keep the plan of a cached combo for ``evaluate_jordan``, around its row over ``den``.
-
-    Copies of the cached value share its ``Fraction`` objects, so the
-    equality test that guards the plan is an identity check per coefficient.
-    """
-    _JORDAN_PLANS[max(combo)] = combo, (1, den, 0, 0, ((0, row),), tuple(sorted(combo)))
-
-
 def evaluate_jordan(combo: JordanCombo, k: int) -> Fraction:
     """sum_s coeff * J_s(k), exact.
 
-    A combo equal to a cached sine sum reuses that sum's plan without the
-    checks of ``_build_plan``, so a warm evaluation does not pay for them.
-    Only an int top index with a ``Fraction`` coefficient is looked up, so a
-    combo whose top key is a bool or a float, whose top coefficient is not a
-    ``Fraction`` ({1: True} equals ``sin_sum_exact(0)``), or whose keys do
-    not compare, still reaches the checks; a lower key or coefficient equal
-    to one of the sum's (2.0 == 2) is evaluated as the sum's.
+    A cached sine sum carries its plan, so a warm evaluation of one skips
+    the checks of ``_build_plan``; any other combo, an equal copy included,
+    is checked and planned on each call.
     """
     _check_int("evaluate_jordan", "k", k, 1)
-    try:
-        top = max(combo) if combo else None
-    except TypeError:
-        top = None
-    kept = _JORDAN_PLANS.get(top) if type(top) is int and type(combo[top]) is Fraction else None
-    if kept is not None and kept[0] == combo:
-        return Fraction(*_plan_ratio(kept[1], k, "evaluate_jordan"))
-    return Fraction(*_plan_ratio(_build_plan({0: combo}, "evaluate_jordan"), k, "evaluate_jordan"))
+    plan = getattr(combo, "_plan", None) if isinstance(combo, _Frozen) else None
+    if plan is None:
+        plan = _build_plan({0: combo}, "evaluate_jordan")
+    return Fraction(*_plan_ratio(plan, k, "evaluate_jordan"))
 
 
 def evaluate_laurent(laurent: KLaurent, k: int) -> Fraction:
@@ -230,7 +237,7 @@ def evaluate_laurent(laurent: KLaurent, k: int) -> Fraction:
 class ClosedForm:
     """scalar * pi^pi_exp * phi(k)^phi_exp * body(k), canonicalized and immutable.
 
-    ``body`` is stored as read-only mappings, equal to the plain dicts;
+    ``body`` is stored as read-only dicts, equal to the plain ones;
     ``_plan`` is the integer evaluation plan of the canonical form and
     ``_renders`` holds each format's render once it has been asked for.
     """
@@ -243,6 +250,7 @@ class ClosedForm:
     _renders: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_rational("ClosedForm", "scalar", self.scalar)
         _check_int("ClosedForm", "pi_exp", self.pi_exp, 0)
         _check_int("ClosedForm", "phi_exp", self.phi_exp, 0)
         # The raw plan checks every key, zero cells too, and gives integers over one lcm.
@@ -254,20 +262,15 @@ class ClosedForm:
             lead = body[max(body)]
             if lead[max(lead)] < 0:
                 g = -g
-            scalar = Fraction(self.scalar) * Fraction(g, den)
+            scalar = self.scalar * Fraction(g, den)
             body = {e: {s: Fraction(c // g) for s, c in combo.items()} for e, combo in body.items()}
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "body", _frozen(body))
         object.__setattr__(self, "_plan", _build_plan(body, "ClosedForm", scalar, self.phi_exp))
         object.__setattr__(self, "_renders", {})
 
-    def __hash__(self):
-        body = frozenset((e, frozenset(combo.items())) for e, combo in self.body.items())
-        return hash((self.scalar, self.pi_exp, self.phi_exp, body))
-
     def __reduce__(self):
-        # A mappingproxy cannot be pickled or deep-copied: rebuild from plain dicts.
-        return ClosedForm, (self.scalar, self.pi_exp, self.phi_exp, _thawed(self.body))
+        return ClosedForm, (self.scalar, self.pi_exp, self.phi_exp, self.body)
 
 
 @functools.cache
@@ -455,8 +458,7 @@ def render(obj: ClosedForm | JordanCombo, format: str = "text") -> str:
                 text = _closed_form_text(obj)
             obj._renders[format] = text
         return text
-    for s in obj:
-        _check_int("render", "Jordan index", s)
+    _check_laurent("render", {0: obj})
     if format == "json":
         return json.dumps(_combo_json(obj))
     return _combo_terms(obj, latex=(format == "latex"))

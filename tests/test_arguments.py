@@ -237,11 +237,12 @@ COEFFICIENT_CALLS = [
     ("ClosedForm", lambda c: ClosedForm(Fraction(1), 2, 1, {1: {4: Fraction(1)}, 0: {3: 1, 2: c}})),
     ("evaluate_jordan", lambda c: evaluate_jordan({2: c}, 7)),
     ("evaluate_laurent", lambda c: evaluate_laurent({0: {2: c}}, 7)),
+    *[("render", lambda c, format=format: render({2: c}, format)) for format in ("json", "latex", "text")],
 ]
 
 
 @pytest.mark.parametrize("c", (0.5, 0.0, "1/3", True, None), ids=repr)
-@pytest.mark.parametrize("function,call", COEFFICIENT_CALLS, ids=["form", "form-lower", "jordan", "laurent"])
+@pytest.mark.parametrize("function,call", COEFFICIENT_CALLS, ids=["form", "form-lower", "jordan", "laurent", "render-json", "render-latex", "render-text"])
 def test_coefficient_is_checked(function, call, c):
     # a coefficient is an int (not a bool) or a Fraction, zero coefficients included
     with pytest.raises(ValueError) as info:
@@ -249,10 +250,20 @@ def test_coefficient_is_checked(function, call, c):
     assert str(info.value) == f"{function}: coefficient of Jordan index 2 must be an int or a Fraction, got {c!r}"
 
 
+@pytest.mark.parametrize("scalar", ("x", None, 0.1, 1.0, True), ids=repr)
+def test_scalar_is_checked(scalar):
+    # the coefficient rule: a float or a bool scalar is refused, not converted
+    with pytest.raises(ValueError) as info:
+        ClosedForm(scalar, 2, 1, {0: {2: Fraction(1)}})
+    assert str(info.value) == f"ClosedForm: scalar must be an int or a Fraction, got {scalar!r}"
+
+
 def test_int_and_fraction_coefficients_are_read():
     assert ClosedForm(Fraction(1), 2, 1, {0: {2: 2, 1: Fraction(4)}}) == ClosedForm(Fraction(2), 2, 1, {0: {2: 1, 1: 2}})
     assert evaluate_jordan({2: 1, 1: Fraction(1, 2)}, 7) == 51
     assert evaluate_laurent({-1: {2: 7}}, 7) == 48
+    assert ClosedForm(3, 2, 1, {0: {2: 1}}) == ClosedForm(Fraction(3), 2, 1, {0: {2: Fraction(1)}})
+    assert render({2: 1, 1: Fraction(1, 2)}, "text") == "J_2 + 1/2 J_1"
 
 
 FORM_DATA = {"scalar": "1", "pi_exp": 2, "phi_exp": 1, "body": {"0": {"2": "1"}}}
@@ -307,8 +318,8 @@ def test_parsers_read_strings_and_ints():
 
 
 def test_key_equal_to_a_cached_sine_sum_key_is_refused():
-    # sin_sum_exact(0) == {1: 1} keeps a plan that {True: 1} would equal;
-    # sin_sum_exact(2) == {2: 1/3} keeps one that {2.0: 1/3} would equal
+    # sin_sum_exact(0) == {1: 1} carries a plan, and {True: 1} equals it;
+    # sin_sum_exact(2) == {2: 1/3} carries one, and {2.0: 1/3} equals it
     assert sin_sum_exact(0) == {True: Fraction(1)}
     assert sin_sum_exact(2) == {2.0: Fraction(1, 3)}
     for combo in ({True: Fraction(1)}, {2.0: Fraction(1, 3)}):
@@ -318,7 +329,7 @@ def test_key_equal_to_a_cached_sine_sum_key_is_refused():
 
 
 def test_coefficient_equal_to_a_cached_sine_sum_coefficient_is_refused():
-    # sin_sum_exact(0) == {1: 1} keeps a plan that {1: True} and {1: 1.0} would equal
+    # sin_sum_exact(0) == {1: 1} carries a plan, and {1: True} and {1: 1.0} equal it
     for c in (True, 1.0):
         assert sin_sum_exact(0) == {1: c}
         with pytest.raises(ValueError, match="evaluate_jordan: coefficient of Jordan index 1 must be an int or a Fraction"):

@@ -10,6 +10,7 @@ on that exact value.
 
 import json
 import math
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -280,27 +281,27 @@ PLAN_MODULI = (3, 30, 210, 1024, 99991, 720720)
 
 
 def _mutations(n):
-    """Copies of sin_sum_exact(n), each changed in place in one way."""
+    """Plain-dict copies of sin_sum_exact(n), each changed in one way."""
     top = max(sin_sum_exact(n))
     low = min(sin_sum_exact(n))
 
     def changed(s, factor):
-        combo = sin_sum_exact(n)
+        combo = dict(sin_sum_exact(n))
         combo[s] *= factor
         return combo
 
     def dropped(s):
-        combo = sin_sum_exact(n)
+        combo = dict(sin_sum_exact(n))
         del combo[s]
         return combo
 
     def added(s, c):
-        combo = sin_sum_exact(n)
+        combo = dict(sin_sum_exact(n))
         combo[s] = c
         return combo
 
-    # The added top index n + 2 is the key of the next cached sum; the
-    # added odd index 3 leaves the top index, and so the key, unchanged.
+    # The added top index n + 2 is the top index of the next cached sum;
+    # the added odd index 3 leaves the top index unchanged.
     return {
         "top-changed": changed(top, 3),
         "low-changed": changed(low, Fraction(-1, 2)),
@@ -312,7 +313,7 @@ def _mutations(n):
 
 
 class TestKeptSinePlans:
-    """``evaluate_jordan`` reuses a cached sine sum's plan only for an equal combo."""
+    """``evaluate_jordan`` reads the plan a cached sine sum carries, and plans any other combo."""
 
     def test_every_cached_sum_uses_its_kept_plan(self, monkeypatch):
         combos = {n: sin_sum_exact(n) for n in SINE_ORDERS}
@@ -338,6 +339,22 @@ class TestKeptSinePlans:
                 value = evaluate_jordan(fresh, k)
                 assert value == evaluate_jordan(sin_sum_exact(n), k) == ref_combo(fresh, k), (n, k)
 
+    def test_equal_float_key_is_checked(self):
+        # {2.0: ...} equals a sum keyed by 2, but only the cached value itself carries a plan
+        for n in range(2, 42, 2):
+            combo = {2.0 if s == 2 else s: c for s, c in sin_sum_exact(n).items()}
+            assert combo == sin_sum_exact(n), n
+            with pytest.raises(ValueError, match="evaluate_jordan: Jordan index must be an integer, got 2.0"):
+                evaluate_jordan(combo, 7)
+
+    def test_unplanned_copies_agree_with_the_plan(self):
+        for n in SINE_ORDERS:
+            combo = sin_sum_exact(n)
+            for again in (dict(combo), pickle.loads(pickle.dumps(combo))):
+                assert getattr(again, "_plan", None) is None, n
+                for k in PLAN_MODULI:
+                    assert evaluate_jordan(again, k) == evaluate_jordan(combo, k), (n, k)
+
     def test_kept_plan_wraps_the_cached_row(self):
         # the kept plan is the one _build_plan would make, around the very row
         # that the Laurent expansion reads; clearing the sine-sum cache
@@ -346,7 +363,7 @@ class TestKeptSinePlans:
         sine_sums._sin.cache_clear()
         for n in range(0, 21, 2):
             combo, row, den = sine_sums._sin(n)
-            plan = symbolic._JORDAN_PLANS[max(combo)][1]
+            plan = combo._plan
             assert plan == symbolic._build_plan({0: combo}, "evaluate_jordan"), n
             assert plan[4][0][1] is row, n
             assert den == math.lcm(*[c.denominator for c in combo.values()]), n

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import operator
 import pickle
 import random
 import re
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from meansq import mean_square
+from meansq.mean_square import exp_product_real
+from meansq.sine_sums import sin_sum_exact
 from meansq.symbolic import (
     ClosedForm,
     evaluate_closed_form,
@@ -268,6 +271,32 @@ class TestReferenceRule:
             assert_matches_reference(args)
 
 
+# Every public getter of a cached value, each with a nonempty result where its domain has one.
+CACHED_GETTERS = {
+    "sin_sum_exact": lambda: sin_sum_exact(6),
+    "sigma0": lambda: mean_square.sigma0(0),
+    "sigma1": lambda: mean_square.sigma1(2),
+    "sigma2": lambda: mean_square.sigma2(2),
+    "sigma0_prime": lambda: mean_square.sigma0_prime(2),
+    "sigma1_prime": lambda: mean_square.sigma1_prime(3),
+    "sigma2_prime": lambda: mean_square.sigma2_prime(3),
+    "exp_product_real": lambda: exp_product_real(2, 3),
+    "ClosedForm.body": lambda: mean_square.mean_square_odd(5).body,
+}
+
+# Each mutator of a dict, applied to a Laurent or to one of its combos.
+MUTATORS = {
+    "__setitem__": lambda t: t.__setitem__(7, F(1)),
+    "__delitem__": lambda t: t.__delitem__(next(iter(t), 0)),
+    "__ior__": lambda t: operator.ior(t, {7: F(1)}),
+    "clear": lambda t: t.clear(),
+    "pop": lambda t: t.pop(next(iter(t), 0)),
+    "popitem": lambda t: t.popitem(),
+    "setdefault": lambda t: t.setdefault(7, F(1)),
+    "update": lambda t: t.update({7: F(1)}),
+}
+
+
 R5_FORM = ClosedForm(scalar=F(1, 187110), pi_exp=10, phi_exp=1, body={-10: {10: F(1), 4: F(-22), 2: F(-231)}})
 
 
@@ -284,7 +313,7 @@ class TestImmutability:
             R5_FORM.body[-2] = {}
         with pytest.raises(TypeError):
             R5_FORM.body[-10][10] = F(1)
-        with pytest.raises(AttributeError):
+        with pytest.raises(TypeError):
             R5_FORM.body.clear()
         assert R5_FORM.body == {-10: {10: F(1), 4: F(-22), 2: F(-231)}}
 
@@ -295,6 +324,38 @@ class TestImmutability:
                 assert evaluate_closed_form(again, k)._mpf_ == evaluate_closed_form(R5_FORM, k)._mpf_
             with pytest.raises(TypeError):
                 again.body[-10][10] = F(1)
+
+    def test_cached_values_refuse_every_change(self):
+        # each cached getter hands out its value itself; every mutator raises
+        # at the Laurent level and at the inner combo, and changes nothing
+        for name, get in CACHED_GETTERS.items():
+            value = get()
+            pristine = {key: dict(v) if isinstance(v, dict) else v for key, v in value.items()}
+            levels = [value] + [v for v in value.values() if isinstance(v, dict) and v]
+            for level, table in enumerate(levels):
+                for mutator, change in MUTATORS.items():
+                    with pytest.raises(TypeError):
+                        change(table)
+                    assert get() is value and get() == pristine, (name, level, mutator)
+
+    def test_copies_of_cached_values(self):
+        for name, get in CACHED_GETTERS.items():
+            value = get()
+            pristine = dict(value)
+            for again in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+                assert again == value and again is not value, name
+                for table in [again] + [v for v in again.values() if isinstance(v, dict)]:
+                    with pytest.raises(TypeError):
+                        table.clear()
+            for plain in (dict(value), value.copy()):
+                assert type(plain) is dict and plain == value, name
+                plain.clear()
+            assert get() is value and get() == pristine, name
+
+    def test_getters_return_one_object(self):
+        assert sin_sum_exact(8) is sin_sum_exact(8)
+        assert exp_product_real(3, 2) is exp_product_real(2, 3)
+        assert mean_square.sigma2_prime(3) is mean_square.sigma2_prime(3)
 
     def test_input_body_is_not_shared(self):
         body = {-2: {2: F(1)}}
