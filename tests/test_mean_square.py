@@ -85,6 +85,13 @@ class TestSigmaBlocks:
         with pytest.raises(ValueError):
             sigma0_prime(1)
 
+    def test_returned_copies_are_safe(self):
+        # the cached block is handed out read-only: a write raises and the cache is unchanged
+        block = sigma2(2)
+        with pytest.raises(TypeError):
+            block[-8][10] = F(1)
+        assert sigma2(2) == {-8: {10: F(-5, 16632), 4: F(5, 756), 2: F(5, 72)}}
+
 
 class TestFinalForms:
     def test_r5_golden(self):
@@ -219,6 +226,18 @@ class TestRealJs:
             )
             exact_mp = mp.mpf(exact.numerator) / exact.denominator
             assert abs(direct - exact_mp) < mp.mpf(2) ** -130
+
+    def test_returned_copies_are_safe(self):
+        product = exp_product_real(2, 3)
+        pristine = {e: dict(combo) for e, combo in product.items()}
+        value = realjs_rhs_exact(2, 3, 7)
+        for combo in product.values():
+            with pytest.raises(TypeError):
+                combo.clear()
+        with pytest.raises(TypeError):
+            product.clear()
+        assert exp_product_real(2, 3) == pristine and exp_product_real(3, 2) == pristine
+        assert realjs_rhs_exact(2, 3, 7) == value == evaluate_laurent(pristine, 7)
 
     def test_guards(self):
         with pytest.raises(ValueError):

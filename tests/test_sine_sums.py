@@ -73,6 +73,12 @@ class TestExactExpansions:
         with pytest.raises(UncancelledPowerError, match=r"order 10: k-exponents \[2\]"):
             sin_sum_exact(n)
 
+    def test_returned_copies_are_safe(self):
+        a = sin_sum_exact(4)
+        with pytest.raises(TypeError):
+            a[2] = F(999)
+        assert sin_sum_exact(4) == PUBLISHED[4]
+
 
 class TestNumericAgreement:
     def test_small_closed_values(self):
