@@ -18,9 +18,9 @@ Below the published values everything is a scalar table keyed by
   reflected (-1)^(r+e+1) W_e, with P(e, m) = sum_{q <= m} C(e, q) B_q
   (``exact._bernoulli_weights``), over the lcm of the Bernoulli denominators,
   so the convolution multiplies only ``int``s and builds no Jordan combination;
-* ``sine_sums._expand_laurent`` turns that table and its denominator into a
-  ``KLaurent``, expanding one Jordan combination per k-exponent and forming
-  one ``Fraction`` per published coefficient.
+* ``sine_sums._published`` turns that table and its denominator into a
+  ``KLaurent``, expanding one Jordan combination per k-exponent in integers
+  (``sine_sums._expand_laurent``) before forming its ``Fraction``s.
 
 One template, ``_sigma(kind, r)``, builds all six blocks, one cached block
 per (kind, rank), with q1, q2 <= q_max = r - 1.  The unprimed names take
@@ -51,7 +51,7 @@ from functools import cache
 
 from .exact import _bernoulli_weights, _weighted_cells, bernoulli, factorial
 from .multiplicative import _check_int
-from .sine_sums import _expand_laurent
+from .sine_sums import _published
 from .symbolic import ClosedForm, KLaurent, _frozen, evaluate_laurent, kl_shift
 
 __all__ = [
@@ -115,7 +115,7 @@ def _exp_product(p: int, q: int) -> Mapping:
     """
     if p > q:
         return _exp_product(q, p)
-    return _frozen(_expand_laurent(_convolve(_power_sum(p), _power_sum(q))))
+    return _frozen(_published(_convolve(_power_sum(p), _power_sum(q))))
 
 
 def exp_product_real(p: int, q: int) -> KLaurent:
@@ -127,7 +127,7 @@ def exp_product_real(p: int, q: int) -> KLaurent:
 
 def power_sum_real(p: int) -> KLaurent:
     _check_int("power_sum_real", "p", p, 1)
-    return _expand_laurent(_power_sum(p))
+    return _published(_power_sum(p))
 
 
 def realjs_rhs_exact(p: int, q: int, k: int) -> Fraction:
@@ -166,7 +166,7 @@ def _sigma(kind: str, r: int) -> Mapping:
         first = _weighted_cells(r, weights)
         second = first if kind == "direct" else _weighted_cells(r, _bernoulli_weights(r, r - 1, reflected=True)[0])
         table = _convolve(first, second, shift=-2 * r)
-    return _frozen(_expand_laurent(table, bden * bden))
+    return _frozen(_published(table, bden * bden))
 
 
 def sigma2(h: int) -> KLaurent:

@@ -25,9 +25,10 @@ Bernoulli/binomial sums never normalize a fraction:
   unreflected: no sign (-1)^(n+e+1)), which the Bernoulli recurrence makes
   n [e = 1], into integer cells over lcm(B_q denominators) * n!;
 * ``_expand_laurent`` collects a {(k-exponent, order of R): numerator}
-  table into one integer {sine order: numerator} table per k-exponent,
-  multiply-adds it over the sine sums' cached integer rows, and divides
-  once per (k-exponent, Jordan index).  The mean-square builders use it too.
+  table into one integer {sine order: numerator} table per k-exponent and
+  multiply-adds it over the rows of the sine sums' plans, into integers per
+  (k-exponent, Jordan index) over one denominator.  ``_published``, which
+  the mean-square builders use too, makes their ``Fraction``s.
 
 The final answer is k-free, so after collecting terms every nonzero k-power
 must have an identically zero coefficient.  That cancellation is *checked*
@@ -38,8 +39,8 @@ error, since the published expansions carry no k).
 ``recip_power_real_sum(n)`` publishes R(n) as a Jordan combination.
 
 The sine sums and R(n) tables are cached read-only dicts, and ``sin_sum_exact``
-returns the cached sum itself.  ``_sin`` keeps each sum's integer row, read by
-``_expand_laurent`` and, in the plan the sum carries, by ``evaluate_jordan``.
+returns the cached sum itself.  Each sum carries its plan, whose integer row
+``_expand_laurent`` reads, and ``evaluate_jordan`` the whole plan.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from mpmath import mp
 
 from .exact import _bernoulli_weights, _weighted_cells, bernoulli
 from .multiplicative import _check_int, coprime_residues
-from .symbolic import JordanCombo, KLaurent, _frozen, _planned
+from .symbolic import JordanCombo, KLaurent, _Frozen, _frozen, _int_plan
 
 __all__ = [
     "UncancelledPowerError",
@@ -68,25 +69,29 @@ class UncancelledPowerError(RuntimeError):
 
 
 @cache
-def _sin(n: int) -> tuple[Mapping[int, Fraction], tuple[tuple[int, int], ...], int]:
-    """(sum, row, d): the order-n sum, frozen with its plan, and its (Jordan index, numerator)
-    pairs in key order over their lcm d.  Lower orders are built first, so recursion stays shallow.
+def _sin(n: int) -> _Frozen:
+    """The order-n sum, frozen, carrying the plan of its expansion's integers divided by their
+    gcd with the denominator, which leaves the lcm of its denominators.  Lower orders are built
+    first, so recursion stays shallow.
     """
     if n == 0:
-        combo = {1: Fraction(1)}
+        row, den = {1: 1}, 1
     else:
         for m in range(2, n, 2):
             _sin(m)
-        laurent = _recursion_laurent(n)
-        stray = sorted(e for e in laurent if e != 0)
+        cells, den = _recursion_laurent(n)
+        stray = sorted(e for e in cells if e != 0)
         if stray:
             raise UncancelledPowerError(
                 f"sine power sum of order {n}: k-exponents {stray} survived collection"
             )
-        combo = laurent.get(0, {})
-    d = lcm(*[c.denominator for c in combo.values()])
-    row = tuple([(s, c.numerator * (d // c.denominator)) for s, c in combo.items()])
-    return _planned(combo, row, d), row, d
+        row = cells.get(0, {})
+    g = gcd(den, *row.values())
+    den //= g
+    row = {s: c // g for s, c in row.items()}
+    combo = _Frozen({s: Fraction(c, den) for s, c in row.items()})
+    combo._plan = _int_plan({0: row}, 1, den)
+    return combo
 
 
 @cache
@@ -109,15 +114,16 @@ def _recip_power_real(n: int) -> tuple[Mapping[int, int], int]:
     return _frozen({2 * i: b[i] // g for i in reversed(range(len(b))) if b[i]}), 2**n // g
 
 
-def _expand_laurent(table: Mapping[tuple[int, int], int], den: int = 1, exclude: int | None = None) -> KLaurent:
+def _expand_laurent(table: Mapping[tuple[int, int], int], den: int = 1, exclude: int | None = None) -> tuple[dict, int]:
     """sum over (e, n) of table[e, n]/den * k^e * R(n), R(n) = ``_recip_power_real(n)``.
 
-    The sine sum of order ``exclude`` is left out of every R(n); this is how
-    the induction in sin_sum_exact removes the top-order sum it is solving
-    for.  The integer numerators are first collected per (k-exponent, sine
-    order) over the lcm of the R(n) denominators, then scaled to the lcm of the
-    sine sums' row denominators and multiply-added over each cached row; each
-    (k-exponent, Jordan index) is divided by the one common denominator once.
+    Returns ({k-exponent: {Jordan index: numerator}}, denominator), with no
+    zero numerator and no empty exponent.  The sine sum of order ``exclude``
+    is left out of every R(n); this is how the induction in sin_sum_exact
+    removes the top-order sum it is solving for.  The integer numerators are
+    first collected per (k-exponent, sine order) over the lcm of the R(n)
+    denominators, then scaled to the lcm of the sine sums' plan denominators
+    and multiply-added over each plan's row.
     """
     recip = {n: _recip_power_real(n) for _, n in table}
     rden = lcm(*[d for _, d in recip.values()])
@@ -129,32 +135,37 @@ def _expand_laurent(table: Mapping[tuple[int, int], int], den: int = 1, exclude:
         for m, c in sines.items():
             if m != exclude:
                 cell[m] = cell.get(m, 0) + v * c
-    rows = {m: _sin(m) for cell in by_exponent.values() for m, x in cell.items() if x}
-    sden = lcm(*[d for _, _, d in rows.values()])
-    total = den * rden * sden
-    out: KLaurent = {}
+    plans = {m: _sin(m)._plan for cell in by_exponent.values() for m, x in cell.items() if x}
+    sden = lcm(*[plan[1] for plan in plans.values()])
+    out: dict[int, dict[int, int]] = {}
     for e, cell in by_exponent.items():
         acc: dict[int, int] = {}
         for m, x in cell.items():
             if x:
-                _, row, d = rows[m]
+                _, d, _, _, ((_, row),), _ = plans[m]
                 x *= sden // d
                 for s, c in row:
                     acc[s] = acc.get(s, 0) + x * c
-        combo = {s: Fraction(v, total) for s, v in acc.items() if v}
-        if combo:
-            out[e] = combo
-    return out
+        row = {s: v for s, v in acc.items() if v}
+        if row:
+            out[e] = row
+    return out, den * rden * sden
+
+
+def _published(table: Mapping[tuple[int, int], int], den: int = 1) -> KLaurent:
+    """The expansion of ``table`` over ``den``, one ``Fraction`` per nonzero coefficient."""
+    cells, total = _expand_laurent(table, den)
+    return {e: {s: Fraction(c, total) for s, c in row.items()} for e, row in cells.items()}
 
 
 def recip_power_real_sum(n: int) -> JordanCombo:
     """Coprime-sum of Re (e^(2*pi*i*m/k) - 1)^(-n) as a Jordan combination."""
     _check_int("recip_power_real_sum", "n", n, 1)
-    return _expand_laurent({(0, n): 1}).get(0, {})
+    return _published({(0, n): 1}).get(0, {})
 
 
-def _recursion_laurent(n: int) -> KLaurent:
-    """The induction step for order n, before collecting k-powers.
+def _recursion_laurent(n: int) -> tuple[dict, int]:
+    """The induction step for order n, before collecting k-powers, as ``_expand_laurent`` returns it.
 
     (-1)^(n/2) 2^n / n! k^(-1) times the Bernoulli-weighted power sum of rank
     n, the order-n sine sum moved out of every R into one J_n term.  Every
@@ -163,10 +174,11 @@ def _recursion_laurent(n: int) -> KLaurent:
     """
     weights, bden = _bernoulli_weights(n, n)
     table = _weighted_cells(n, weights, shift=-1, scale=(-1) ** (n // 2) * 2**n)
-    laurent = _expand_laurent(table, bden * factorial(n), exclude=n)
-    # the J_n term (-1)^(n/2+1) 2^n B_n / n!, last at k^0
-    laurent.setdefault(0, {})[n] = (-1) ** (n // 2 + 1) * 2**n * bernoulli(n) / factorial(n)
-    return laurent
+    cells, total = _expand_laurent(table, bden * factorial(n), exclude=n)
+    # the J_n term (-1)^(n/2+1) 2^n B_n / n!, last at k^0; total is a multiple of n! bden
+    b = bernoulli(n)
+    cells.setdefault(0, {})[n] = (-1) ** (n // 2 + 1) * 2**n * b.numerator * (total // factorial(n) // b.denominator)
+    return cells, total
 
 
 def sin_sum_exact(n: int) -> JordanCombo:
@@ -180,7 +192,7 @@ def sin_sum_exact(n: int) -> JordanCombo:
     _check_int("sin_sum_exact", "n", n, 0)
     if n % 2:
         raise ValueError(f"sin_sum_exact: n must be even, got {n}")
-    return _sin(n)[0]
+    return _sin(n)
 
 
 def sin_sum_numeric(n: int, k: int, precision_bits: int = 128):

@@ -21,15 +21,15 @@ familiar presentation (e.g. a single 1/187110 prefactor).
 Every shared value, a ``ClosedForm`` body or a cached table, is a read-only
 dict (``_Frozen``) handed out as it is, so a form is immutable and hashable.
 
-Each form carries its evaluation plan, built once from the canonical body:
-the lowest k-exponent, the (Jordan index, integer coefficient) pairs of each
-exponent and the distinct Jordan indices.  Evaluating at k reads only the
-plan and k's table of the J_s(k), then sums in integers, with one reduction
+Each form carries its evaluation plan, built once by ``_int_plan``, as every
+plan is, from its canonical integers: the lowest k-exponent, the (Jordan
+index, integer coefficient) pairs of each exponent and the distinct Jordan
+indices.  Evaluating at k reads only the plan and k's table of the J_s(k), then sums in integers, with one reduction
 at the end.  That table lives in ``multiplicative``'s cache of the last 16
 moduli: every evaluation at one k, of forms and sine sums alike, shares one
 factorization of k and forms each J_s(k) once.  ``evaluate_laurent`` and
 ``evaluate_jordan`` plan their argument on each call, but a cached sine sum
-carries its plan, around the integer row that ``sine_sums`` reads.
+carries its plan, whose integer row ``sine_sums`` reads in its expansion.
 ``evaluate_closed_form`` rounds the exact ratio times a cached power of pi
 in integers, with the roundings of mpmath's arithmetic.
 
@@ -55,9 +55,6 @@ __all__ = [
     "JordanCombo",
     "KLaurent",
     "ClosedForm",
-    "jc_add",
-    "jc_scale",
-    "kl_add",
     "kl_shift",
     "evaluate_jordan",
     "evaluate_laurent",
@@ -71,41 +68,18 @@ JordanCombo = dict[int, Fraction]
 KLaurent = dict[int, JordanCombo]
 
 
-# ---------------------------------------------------------------------------
-# Exact algebra (all functions return fresh canonical values)
-# ---------------------------------------------------------------------------
-
-def jc_add(a: JordanCombo, b: JordanCombo) -> JordanCombo:
-    out = dict(a)
-    for s, c in b.items():
-        v = out.get(s, Fraction(0)) + c
-        if v:
-            out[s] = v
-        else:
-            out.pop(s, None)
-    return out
-
-
-def jc_scale(a: JordanCombo, c: Fraction | int) -> JordanCombo:
-    if not c:
-        return {}
-    return {s: v * c for s, v in a.items()}
-
-
-def kl_add(a: KLaurent, b: KLaurent) -> KLaurent:
-    out = {e: dict(combo) for e, combo in a.items()}
-    for e, combo in b.items():
-        merged = jc_add(out.get(e, {}), combo)
-        if merged:
-            out[e] = merged
-        else:
-            out.pop(e, None)
-    return out
+def _check_mapping(caller: str, param: str, value) -> None:
+    """A mapping, or a ``ValueError`` naming ``caller`` and ``param``."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{caller}: {param} must be a mapping, got {type(value).__name__}")
 
 
 def kl_shift(a: KLaurent, t: int) -> KLaurent:
     """Multiply by k^t (shift every exponent by t)."""
     _check_int("kl_shift", "t", t)
+    _check_mapping("kl_shift", "a", a)
+    for e, combo in a.items():
+        _check_mapping("kl_shift", f"a[{e!r}]", combo)
     return {e + t: dict(combo) for e, combo in a.items()}
 
 
@@ -113,7 +87,7 @@ class _Frozen(dict):
     """A read-only dict, hashed by its items; ``dict(v)`` and ``v.copy()`` give a plain one.
 
     A pickle or copy is an equal ``_Frozen`` without ``_plan``, which only a
-    cached sine sum sets (``_planned``), for ``evaluate_jordan`` to read.
+    cached sine sum sets (``sine_sums._sin``), for ``evaluate_jordan`` to read.
     """
 
     __slots__ = ("_plan",)
@@ -135,53 +109,52 @@ def _frozen(table: Mapping) -> _Frozen:
     return _Frozen({key: _frozen(v) if isinstance(v, Mapping) else v for key, v in table.items()})
 
 
-def _planned(combo: JordanCombo, row: tuple[tuple[int, int], ...], den: int) -> _Frozen:
-    """``combo`` frozen, carrying the plan ``_build_plan`` would make of it, around its row over ``den``."""
-    frozen = _frozen(combo)
-    frozen._plan = 1, den, 0, 0, ((0, row),), tuple(sorted(combo))
-    return frozen
-
-
 def _check_rational(caller: str, param: str, value) -> None:
     """An int (not a bool) or a ``Fraction``, or a ``ValueError`` naming ``caller`` and ``param``."""
     if type(value) is not int and not isinstance(value, Fraction):
         raise ValueError(f"{caller}: {param} must be an int or a Fraction, got {value!r}")
 
 
-def _check_laurent(caller: str, laurent: Mapping) -> None:
-    """Every k-exponent and Jordan index an int, every coefficient an int or a ``Fraction``."""
+def _check_laurent(caller: str, param: str, laurent) -> None:
+    """Both levels mappings, every k-exponent and Jordan index an int, every coefficient an int or a ``Fraction``."""
+    _check_mapping(caller, param, laurent)
     for e, combo in laurent.items():
         _check_int(caller, "k-exponent", e)
+        _check_mapping(caller, f"{param}[{e!r}]", combo)
         for s, c in combo.items():
             _check_int(caller, "Jordan index", s)
             _check_rational(caller, f"coefficient of Jordan index {s}", c)
 
 
-def _build_plan(laurent: Mapping, caller: str, scalar: Fraction | int = 1, phi_exp: int = 0) -> tuple:
-    """Integer evaluation plan of scalar * phi(k)^phi_exp * laurent(k).
+def _int_plan(rows: Mapping[int, Mapping[int, int]], num: int, den: int, phi_exp: int = 0) -> tuple:
+    """Integer evaluation plan of num / den * phi(k)^phi_exp * sum_e k^e sum_s rows[e][s] J_s(k).
 
-    The plan is (num, den, phi_exp, low, rows, indices): the scalar over the
-    lcm of the coefficient denominators as num / den, the lowest k-exponent,
-    one row (e - low, ((s, c), ...)) per exponent with integer c, and the
-    ascending distinct Jordan indices (with 1 when phi_exp > 0), so one
-    Jordan table serves the whole evaluation.  A canonical ``ClosedForm``
-    body has integer coefficients, so its lcm is 1.  ``_check_laurent``
-    checks every key and coefficient first, naming ``caller``: this is where
-    every table turns into integers.
+    The plan is (num, den, phi_exp, low, rows, indices): the lowest
+    k-exponent, one row (e - low, ((s, c), ...)) per exponent in key order,
+    and the ascending distinct Jordan indices (with 1 when phi_exp > 0), so
+    one Jordan table serves the whole evaluation.
     """
-    _check_laurent(caller, laurent)
+    low = min(rows) if rows else 0
+    indices = {s for row in rows.values() for s in row}
+    if phi_exp:
+        indices.add(1)
+    shifted = tuple([(e - low, tuple(row.items())) for e, row in rows.items()])
+    return num, den, phi_exp, low, shifted, tuple(sorted(indices))
+
+
+def _build_plan(laurent, caller: str, param: str = "laurent") -> tuple:
+    """Integer evaluation plan of a table: its coefficients over the lcm of their denominators.
+
+    ``_check_laurent`` checks every level, key and coefficient first, naming
+    ``caller`` and ``param``: this is where every outside table turns into
+    integers.
+    """
+    _check_laurent(caller, param, laurent)
     # A list, not a generator: on CPython 3.11, unpacking generators of
     # varying length into arguments left ~1 MB more peak RSS in a warm session.
     den = math.lcm(*[c.denominator for combo in laurent.values() for c in combo.values()])
-    low = min(laurent) if laurent else 0
-    rows = tuple([
-        (e - low, tuple([(s, c.numerator * (den // c.denominator)) for s, c in combo.items()]))
-        for e, combo in laurent.items()
-    ])
-    indices = {s for combo in laurent.values() for s in combo}
-    if phi_exp:
-        indices.add(1)
-    return scalar.numerator, scalar.denominator * den, phi_exp, low, rows, tuple(sorted(indices))
+    rows = {e: {s: c.numerator * (den // c.denominator) for s, c in combo.items()} for e, combo in laurent.items()}
+    return _int_plan(rows, 1, den)
 
 
 def _plan_ratio(plan: tuple, k: int, caller: str) -> tuple[int, int]:
@@ -219,6 +192,7 @@ def evaluate_jordan(combo: JordanCombo, k: int) -> Fraction:
     _check_int("evaluate_jordan", "k", k, 1)
     plan = getattr(combo, "_plan", None) if isinstance(combo, _Frozen) else None
     if plan is None:
+        _check_mapping("evaluate_jordan", "combo", combo)
         plan = _build_plan({0: combo}, "evaluate_jordan")
     return Fraction(*_plan_ratio(plan, k, "evaluate_jordan"))
 
@@ -254,7 +228,7 @@ class ClosedForm:
         _check_int("ClosedForm", "pi_exp", self.pi_exp, 0)
         _check_int("ClosedForm", "phi_exp", self.phi_exp, 0)
         # The raw plan checks every key, zero cells too, and gives integers over one lcm.
-        _, den, _, low, rows, _ = _build_plan(self.body, "ClosedForm")
+        _, den, _, low, rows, _ = _build_plan(self.body, "ClosedForm", "body")
         body = {low + shift: combo for shift, terms in rows if (combo := {s: c for s, c in terms if c})}
         scalar = Fraction(0)
         if body:
@@ -263,10 +237,11 @@ class ClosedForm:
             if lead[max(lead)] < 0:
                 g = -g
             scalar = self.scalar * Fraction(g, den)
-            body = {e: {s: Fraction(c // g) for s, c in combo.items()} for e, combo in body.items()}
+            body = {e: {s: c // g for s, c in combo.items()} for e, combo in body.items()}
         object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "body", _frozen(body))
-        object.__setattr__(self, "_plan", _build_plan(body, "ClosedForm", scalar, self.phi_exp))
+        fractions = {e: {s: Fraction(c) for s, c in combo.items()} for e, combo in body.items()}
+        object.__setattr__(self, "body", _frozen(fractions))
+        object.__setattr__(self, "_plan", _int_plan(body, scalar.numerator, scalar.denominator, self.phi_exp))
         object.__setattr__(self, "_renders", {})
 
     def __reduce__(self):
@@ -305,6 +280,8 @@ def evaluate_closed_form(form: ClosedForm, k: int, precision_bits: int = 128):
     """
     _check_int("evaluate_closed_form", "k", k, 3)
     _check_int("evaluate_closed_form", "precision_bits", precision_bits, 53)
+    if not isinstance(form, ClosedForm):
+        raise ValueError(f"evaluate_closed_form: form must be a ClosedForm, got {type(form).__name__}")
     num, den = _plan_ratio(form._plan, k, "evaluate_closed_form")
     if not num:
         return mp.zero
@@ -458,7 +435,8 @@ def render(obj: ClosedForm | JordanCombo, format: str = "text") -> str:
                 text = _closed_form_text(obj)
             obj._renders[format] = text
         return text
-    _check_laurent("render", {0: obj})
+    _check_mapping("render", "obj", obj)
+    _check_laurent("render", "obj", {0: obj})
     if format == "json":
         return json.dumps(_combo_json(obj))
     return _combo_terms(obj, latex=(format == "latex"))

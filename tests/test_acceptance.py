@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
+from combo_algebra import kl_add
 from meansq.mean_square import (
     l_principal_closed_form,
     mean_square_even,
@@ -31,7 +32,7 @@ from meansq.oracle import (
     power_exp_identity_check,
 )
 from meansq.sine_sums import sin_sum_exact, sin_sum_numeric
-from meansq.symbolic import ClosedForm, evaluate_closed_form, evaluate_jordan, kl_add
+from meansq.symbolic import ClosedForm, evaluate_closed_form, evaluate_jordan
 
 F = Fraction
 

@@ -258,6 +258,37 @@ def test_scalar_is_checked(scalar):
     assert str(info.value) == f"ClosedForm: scalar must be an int or a Fraction, got {scalar!r}"
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: evaluate_jordan(mean_square_odd(5), 7), "evaluate_jordan: combo must be a mapping, got ClosedForm"),
+        (lambda: evaluate_jordan(None, 7), "evaluate_jordan: combo must be a mapping, got NoneType"),
+        (lambda: evaluate_jordan([1, 2], 7), "evaluate_jordan: combo must be a mapping, got list"),
+        (lambda: evaluate_laurent({0: 5}, 7), "evaluate_laurent: laurent[0] must be a mapping, got int"),
+        (lambda: evaluate_laurent(sin_sum_exact(4).items(), 7), "evaluate_laurent: laurent must be a mapping, got dict_items"),
+        (lambda: ClosedForm(Fraction(1), 2, 1, {0: 5}), "ClosedForm: body[0] must be a mapping, got int"),
+        (lambda: ClosedForm(Fraction(1), 2, 1, {1: {2: Fraction(1)}, 0: None}), "ClosedForm: body[0] must be a mapping, got NoneType"),
+        (lambda: ClosedForm(Fraction(1), 2, 1, [{2: Fraction(1)}]), "ClosedForm: body must be a mapping, got list"),
+        (lambda: render([1, 2], "text"), "render: obj must be a mapping, got list"),
+        (lambda: render(None, "json"), "render: obj must be a mapping, got NoneType"),
+        (lambda: evaluate_closed_form({0: {2: Fraction(1)}}, 7), "evaluate_closed_form: form must be a ClosedForm, got dict"),
+        (lambda: evaluate_closed_form(None, 7), "evaluate_closed_form: form must be a ClosedForm, got NoneType"),
+        (lambda: kl_shift({0: 5}, 1), "kl_shift: a[0] must be a mapping, got int"),
+        (lambda: kl_shift([(0, {1: Fraction(1)})], 1), "kl_shift: a must be a mapping, got list"),
+    ],
+    ids=[
+        "jordan-form", "jordan-none", "jordan-list", "laurent-int-combo", "laurent-items",
+        "form-int-combo", "form-none-combo", "form-list", "render-list", "render-none",
+        "closed-form-dict", "closed-form-none", "shift-int-combo", "shift-list",
+    ],
+)
+def test_table_that_is_not_a_mapping_is_refused(call, message):
+    # each level of a table is a mapping; anything else names the function and the parameter
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_int_and_fraction_coefficients_are_read():
     assert ClosedForm(Fraction(1), 2, 1, {0: {2: 2, 1: Fraction(4)}}) == ClosedForm(Fraction(2), 2, 1, {0: {2: 1, 1: 2}})
     assert evaluate_jordan({2: 1, 1: Fraction(1, 2)}, 7) == 51

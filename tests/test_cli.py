@@ -175,6 +175,26 @@ class TestIdentityCheck:
         assert report["summary"]["failed"] == 0
         assert {c["identity"] for c in report["cases"]} == {"odd-sum-cancels", "even-sums-equal"}
 
+    def test_sigma_cancel_sees_one_changed_cell(self, capsys, monkeypatch):
+        # a negative control: with one cell of sigma2 changed, sigma1 is no
+        # longer its cell-by-cell negation, and the suite must say so
+        direct = cli.sigma2
+
+        def changed(h):
+            block = {e: dict(combo) for e, combo in direct(h).items()}
+            top = block[max(block)]
+            top[max(top)] += Fraction(1, 7)
+            return block
+
+        monkeypatch.setattr(cli, "sigma2", changed)
+        code, out, _ = run(capsys, "identity-check", "--which", "sigma-cancel", "--h", "2")
+        assert code == 1
+        report = json.loads(out)
+        assert report["cases"] == [
+            {"h": 2, "identity": "odd-sum-cancels", "pass": False},
+            {"h": 2, "identity": "even-sums-equal", "pass": True},
+        ]
+
     def test_sigma0(self, capsys):
         code, out, _ = run(capsys, "identity-check", "--which", "sigma0", "--h", "0..1")
         assert code == 0

@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from combo_algebra import jc_add
 from meansq import multiplicative, sine_sums, symbolic
 from meansq.mean_square import mean_square_even, mean_square_odd
 from meansq.multiplicative import euler_phi, factorize, jordan_totient
@@ -28,7 +29,6 @@ from meansq.symbolic import (
     evaluate_closed_form,
     evaluate_jordan,
     evaluate_laurent,
-    jc_add,
     parse_closed_form,
     parse_jordan_combo,
 )
@@ -356,18 +356,17 @@ class TestKeptSinePlans:
                     assert evaluate_jordan(again, k) == evaluate_jordan(combo, k), (n, k)
 
     def test_kept_plan_wraps_the_cached_row(self):
-        # the kept plan is the one _build_plan would make, around the very row
-        # that the Laurent expansion reads; clearing the sine-sum cache
-        # replaces both on the next build
-        before = sine_sums._sin(20)[1]
+        # the kept plan is the one _build_plan would make, over the lcm of the
+        # published denominators; the Laurent expansion reads its row, and
+        # clearing the sine-sum cache replaces it on the next build
+        before = sine_sums._sin(20)._plan
         sine_sums._sin.cache_clear()
-        for n in range(0, 21, 2):
-            combo, row, den = sine_sums._sin(n)
+        for n in range(0, 81, 2):
+            combo = sine_sums._sin(n)
             plan = combo._plan
             assert plan == symbolic._build_plan({0: combo}, "evaluate_jordan"), n
-            assert plan[4][0][1] is row, n
-            assert den == math.lcm(*[c.denominator for c in combo.values()]), n
-        assert sine_sums._sin(20)[1] is not before
+            assert plan[1] == math.lcm(*[c.denominator for c in combo.values()]), n
+        assert sine_sums._sin(20)._plan is not before
 
     def test_values_after_the_cache_is_rebuilt(self, corrupted_induction):
         # The fixture emptied the sine-sum cache: the orders below the

@@ -167,10 +167,9 @@ def test_built_tables_hold_no_zero_cell(monkeypatch):
 
     def expand(table, *args, **kwargs):
         fed.append(table)
-        return {}
+        return {}, 1
 
     monkeypatch.setattr(mean_square, "_convolve", convolve)
-    monkeypatch.setattr(mean_square, "_expand_laurent", expand)
     monkeypatch.setattr(sine_sums, "_expand_laurent", expand)
     for r in range(3, 62):
         fed.append(_power_sum.__wrapped__(r))
@@ -188,7 +187,8 @@ def reference_expand_laurent(table, den=1, exclude=None):
     The R(n) numerators are collected per (k-exponent, sine order) as the
     builder collects them; then, on every call, each sine sum read is turned
     into integers over the lcm of every denominator of every sum read, not
-    taken from the sum's cached row.
+    taken from the row of the sum's plan.  Like the builder's, it returns
+    integer numerators per (k-exponent, Jordan index) and their denominator.
     """
     recip = {n: _recip_power_real(n) for _, n in table}
     rden = math.lcm(*[d for _, d in recip.values()])
@@ -210,10 +210,10 @@ def reference_expand_laurent(table, den=1, exclude=None):
             if x:
                 for s, c in sin_ints[m]:
                     acc[s] = acc.get(s, 0) + x * c
-        combo = {s: Fraction(v, den * rden * sden) for s, v in acc.items() if v}
-        if combo:
-            out[e] = combo
-    return out
+        row = {s: v for s, v in acc.items() if v}
+        if row:
+            out[e] = row
+    return out, den * rden * sden
 
 
 def in_order(laurent):
@@ -228,7 +228,6 @@ def reference_expansion(monkeypatch):
     def call(builder, *args):
         with monkeypatch.context() as patch:
             patch.setattr(sine_sums, "_expand_laurent", reference_expand_laurent)
-            patch.setattr(mean_square, "_expand_laurent", reference_expand_laurent)
             return builder(*args)
 
     return call
@@ -251,6 +250,24 @@ def test_sine_rows_match_the_per_call_rule(reference_expansion):
             want = reference_expansion(mean_square._sigma.__wrapped__, kind, r)
             assert in_order(mean_square._sigma(kind, r)) == in_order(want), (kind, r)
     for n in range(2, 61, 2):
-        want = reference_expansion(sine_sums._recursion_laurent, n)
-        assert list(want) == [0], n
-        assert list(sine_sums.sin_sum_exact(n).items()) == list(want[0].items()), n
+        cells, den = reference_expansion(sine_sums._recursion_laurent, n)
+        assert list(cells) == [0], n
+        want = [(s, Fraction(c, den)) for s, c in cells[0].items()]
+        assert list(sine_sums.sin_sum_exact(n).items()) == want, n
+
+
+def test_expansion_makes_no_fraction(monkeypatch):
+    # the Laurent expansion and the induction step stay in integers: only the
+    # published values, built before the patch, are Fractions
+    sine_sums.sin_sum_exact(40)
+    mean_square.exp_product_real(5, 6)
+
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args} made in the expansion")
+
+    monkeypatch.setattr(sine_sums, "Fraction", refuse)
+    expansions = [sine_sums._recursion_laurent(n) for n in range(2, 41, 2)]
+    expansions.append(sine_sums._expand_laurent(mean_square._convolve(_power_sum(5), _power_sum(6))))
+    for cells, den in expansions:
+        assert type(den) is int
+        assert all(type(c) is int and c for row in cells.values() for c in row.values())

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from combo_algebra import kl_add
 from meansq import mean_square
 from meansq.mean_square import (
     exp_product_real,
@@ -24,7 +25,7 @@ from meansq.mean_square import (
     sigma2_prime,
 )
 from meansq.oracle import exp_sum_direct
-from meansq.symbolic import ClosedForm, evaluate_closed_form, evaluate_laurent, kl_add, kl_shift, parse_closed_form, render
+from meansq.symbolic import ClosedForm, evaluate_closed_form, evaluate_laurent, kl_shift, parse_closed_form, render
 
 F = Fraction
 
@@ -252,7 +253,7 @@ class TestRealJs:
 
 from meansq.exact import bernoulli, binomial, deriv_coeff, factorial
 from meansq.sine_sums import sin_sum_exact
-from meansq.symbolic import jc_add, jc_scale
+from combo_algebra import jc_add, jc_scale
 
 
 def _literal_chebyshev_block(n, weight):

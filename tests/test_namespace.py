@@ -13,6 +13,9 @@ REMOVED = (
     ("exact", "ChebyshevCoeffs"),
     ("exact", "chebyshev_coeffs"),
     ("symbolic", "kl_scale"),
+    ("symbolic", "jc_add"),
+    ("symbolic", "jc_scale"),
+    ("symbolic", "kl_add"),
 )
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from combo_algebra import jc_add, jc_scale, kl_add
 from meansq import mean_square
 from meansq.mean_square import exp_product_real
 from meansq.sine_sums import sin_sum_exact
@@ -23,9 +24,6 @@ from meansq.symbolic import (
     evaluate_closed_form,
     evaluate_jordan,
     evaluate_laurent,
-    jc_add,
-    jc_scale,
-    kl_add,
     kl_shift,
     parse_closed_form,
     parse_jordan_combo,
