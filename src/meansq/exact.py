@@ -11,8 +11,9 @@ Bernoulli-weighted power sum, with cells from ``_weighted_cells`` and
 weights from ``_bernoulli_weights``: W_e = C(r, e) P(e, min(q_max, e - 1)),
 reflected (-1)^(r+e+1) W_e, from one cached P(e, m) = sum_{q <= m} C(e, q) B_q.
 
-The memoized tables (B_q, derivative coefficients, P) are never mutated
-after an entry is published, so concurrent evaluations can share them.
+Every table (B_q, rows of derivative coefficients, P) is a ``functools.cache``
+entry keyed by its index and computed from lower indices only, so threads that
+build one at once store equal values, the ones a single thread gives.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ def factorial(n: int) -> Fraction:
     return Fraction(math.factorial(n))
 
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
-
-
 def bernoulli(n: int) -> Fraction:
     """n-th Bernoulli number, B_1 = -1/2 convention.
 
@@ -61,26 +59,24 @@ def bernoulli(n: int) -> Fraction:
     sums that cancel exactly only in this convention.
     """
     _check_int("bernoulli", "n", n, 0)
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        # sum_{q=0}^{m} C(m+1, q) B_q = 0  =>  B_m = -sum_{q<m}/C(m+1, m),
-        # summed as integer numerators over the lcm of the earlier denominators
-        nums, den = _bernoulli_ints(m - 1)
-        s = sum(math.comb(m + 1, q) * b for q, b in enumerate(nums))
-        _BERNOULLI.append(Fraction(-s, den * (m + 1)))
-    return _BERNOULLI[n]
+    return _bernoulli(n)
+
+
+@cache
+def _bernoulli(n: int) -> Fraction:
+    """B_n = -sum_{q<n} C(n+1, q) B_q / (n+1) over the lcm of the earlier denominators, which
+    ``_bernoulli_ints`` reads in ascending order, so recursion stays shallow."""
+    if n == 0:
+        return Fraction(1)
+    nums, den = _bernoulli_ints(n - 1)
+    return Fraction(-sum(math.comb(n + 1, q) * b for q, b in enumerate(nums)), den * (n + 1))
 
 
 def _bernoulli_ints(n: int) -> tuple[list[int], int]:
     """B_0..B_n as integer numerators over one denominator, the lcm of theirs."""
-    bernoulli(n)
-    bs = _BERNOULLI[: n + 1]
+    bs = [_bernoulli(q) for q in range(n + 1)]
     den = math.lcm(*[b.denominator for b in bs])
     return [b.numerator * (den // b.denominator) for b in bs], den
-
-
-# Row q holds deriv_coeff(q, j) for j = 1..q+1 as ints; rows are appended, never changed.
-_DERIV_ROWS: list[tuple[int, ...]] = [(1,)]
 
 
 def deriv_coeff(q: int, j: int) -> Fraction:
@@ -102,17 +98,24 @@ def deriv_coeff(q: int, j: int) -> Fraction:
 
 
 def _deriv_int(q: int, j: int) -> int:
-    """``deriv_coeff(q, j)`` as an int, for in-range arguments.
+    """``deriv_coeff(q, j)`` as an int, for in-range arguments."""
+    return _deriv_row(q)[j - 1]
 
-    Rows are filled upward by the derivative of (e^w - 1)^(-j), which is
-    -j (e^w - 1)^(-j) - j (e^w - 1)^(-j-1): A(q+1, j) = -j A(q, j) -
-    (j-1) A(q, j-1), with A = 0 outside 1 <= j <= q+1, so each entry
-    costs O(1) instead of a j-term sum of q-th powers.
+
+@cache
+def _deriv_row(q: int) -> tuple[int, ...]:
+    """deriv_coeff(q, j) for j = 1..q+1 as ints, from row q - 1, lower rows built first.
+
+    As d/dw (e^w - 1)^(-j) = -j (e^w - 1)^(-j) - j (e^w - 1)^(-j-1),
+    A(q+1, j) = -j A(q, j) - (j-1) A(q, j-1), with A = 0 outside
+    1 <= j <= q+1: O(1) per entry instead of a j-term sum of q-th powers.
     """
-    while len(_DERIV_ROWS) <= q:
-        row = (0, *_DERIV_ROWS[-1], 0)  # A(q, 0) .. A(q, q+2)
-        _DERIV_ROWS.append(tuple(-j * row[j] - (j - 1) * row[j - 1] for j in range(1, len(row))))
-    return _DERIV_ROWS[q][j - 1]
+    if q == 0:
+        return (1,)
+    for p in range(1, q - 1):
+        _deriv_row(p)
+    row = (0, *_deriv_row(q - 1), 0)  # A(q-1, 0) .. A(q-1, q+1)
+    return tuple(-j * row[j] - (j - 1) * row[j - 1] for j in range(1, len(row)))
 
 
 @cache

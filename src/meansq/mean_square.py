@@ -19,8 +19,8 @@ Below the published values everything is a scalar table keyed by
   (``exact._bernoulli_weights``), over the lcm of the Bernoulli denominators,
   so the convolution multiplies only ``int``s and builds no Jordan combination;
 * ``sine_sums._published`` turns that table and its denominator into a
-  ``KLaurent``, expanding one Jordan combination per k-exponent in integers
-  (``sine_sums._expand_laurent``) before forming its ``Fraction``s.
+  read-only ``KLaurent``, expanding one Jordan combination per k-exponent in
+  integers (``sine_sums._expand_laurent``) before forming its ``Fraction``s.
 
 One template, ``_sigma(kind, r)``, builds all six blocks, one cached block
 per (kind, rank), with q1, q2 <= q_max = r - 1.  The unprimed names take
@@ -37,10 +37,10 @@ The closed forms read the same blocks.  The kind picks:
   and the tests check.
 * ``direct``    (``sigma2`` / ``sigma2_prime``) -- the direct product block.
 
-All builders are pure and memoized with ``functools.cache``.  The cached
-tables, sigma blocks, product sums and closed forms are read-only, and each
-getter returns the cached value itself: a repeated ``sigma2(h)`` or
-``mean_square_odd(r)`` returns the same object.
+All builders are pure and memoized with ``functools.cache``.  Every value
+handed out is read-only, and each cached getter returns the cached value
+itself: a repeated ``sigma2(h)`` or ``mean_square_odd(r)`` returns the same
+object.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import cache
 from .exact import _bernoulli_weights, _weighted_cells, bernoulli, factorial
 from .multiplicative import _check_int
 from .sine_sums import _published
-from .symbolic import ClosedForm, KLaurent, _frozen, evaluate_laurent, kl_shift
+from .symbolic import ClosedForm, KLaurent, _Frozen, evaluate_laurent, kl_shift
 
 __all__ = [
     "exp_product_real",
@@ -98,7 +98,7 @@ def _power_sum(p: int) -> Table:
     with R(n) the reciprocal-power sum from ``sine_sums``; the table maps
     (j, alpha) to the integer C(p,j) A(p-j, alpha).
     """
-    return _frozen(_weighted_cells(p, _bernoulli_weights(p, 0)[0]))
+    return _Frozen(_weighted_cells(p, _bernoulli_weights(p, 0)[0]))
 
 
 @cache
@@ -115,7 +115,7 @@ def _exp_product(p: int, q: int) -> Mapping:
     """
     if p > q:
         return _exp_product(q, p)
-    return _frozen(_published(_convolve(_power_sum(p), _power_sum(q))))
+    return _published(_convolve(_power_sum(p), _power_sum(q)))
 
 
 def exp_product_real(p: int, q: int) -> KLaurent:
@@ -144,7 +144,7 @@ def realjs_rhs_exact(p: int, q: int, k: int) -> Fraction:
 
 @cache
 def _sigma(kind: str, r: int) -> Mapping:
-    """Sigma block of rank r, expanded and frozen.
+    """Sigma block of rank r, expanded into a read-only ``KLaurent``.
 
     With S(p) the power sum and U = sum_{q <= r-1} B_q C(r, q) k^q S(r-q),
     where a product of two power sums means the paired product sum (table
@@ -166,7 +166,7 @@ def _sigma(kind: str, r: int) -> Mapping:
         first = _weighted_cells(r, weights)
         second = first if kind == "direct" else _weighted_cells(r, _bernoulli_weights(r, r - 1, reflected=True)[0])
         table = _convolve(first, second, shift=-2 * r)
-    return _frozen(_published(table, bden * bden))
+    return _published(table, bden * bden)
 
 
 def sigma2(h: int) -> KLaurent:

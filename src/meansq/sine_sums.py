@@ -28,7 +28,8 @@ Bernoulli/binomial sums never normalize a fraction:
   table into one integer {sine order: numerator} table per k-exponent and
   multiply-adds it over the rows of the sine sums' plans, into integers per
   (k-exponent, Jordan index) over one denominator.  ``_published``, which
-  the mean-square builders use too, makes their ``Fraction``s.
+  the mean-square builders and ``recip_power_real_sum`` use too, makes their
+  read-only ``Fraction`` view with ``symbolic._fractions``.
 
 The final answer is k-free, so after collecting terms every nonzero k-power
 must have an identically zero coefficient.  That cancellation is *checked*
@@ -46,7 +47,6 @@ returns the cached sum itself.  Each sum carries its plan, whose integer row
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm
 
@@ -54,7 +54,7 @@ from mpmath import mp
 
 from .exact import _bernoulli_weights, _weighted_cells, bernoulli
 from .multiplicative import _check_int, coprime_residues
-from .symbolic import JordanCombo, KLaurent, _Frozen, _frozen, _int_plan
+from .symbolic import JordanCombo, KLaurent, _Frozen, _fractions, _int_plan
 
 __all__ = [
     "UncancelledPowerError",
@@ -89,7 +89,7 @@ def _sin(n: int) -> _Frozen:
     g = gcd(den, *row.values())
     den //= g
     row = {s: c // g for s, c in row.items()}
-    combo = _Frozen({s: Fraction(c, den) for s, c in row.items()})
+    combo = _fractions({0: row}, den)[0]
     combo._plan = _int_plan({0: row}, 1, den)
     return combo
 
@@ -111,7 +111,7 @@ def _recip_power_real(n: int) -> tuple[Mapping[int, int], int]:
         for j in range(len(b) - 2, t - 1, -1):
             b[j] -= b[j + 1]
     g = gcd(2**n, *b)
-    return _frozen({2 * i: b[i] // g for i in reversed(range(len(b))) if b[i]}), 2**n // g
+    return _Frozen({2 * i: b[i] // g for i in reversed(range(len(b))) if b[i]}), 2**n // g
 
 
 def _expand_laurent(table: Mapping[tuple[int, int], int], den: int = 1, exclude: int | None = None) -> tuple[dict, int]:
@@ -153,15 +153,14 @@ def _expand_laurent(table: Mapping[tuple[int, int], int], den: int = 1, exclude:
 
 
 def _published(table: Mapping[tuple[int, int], int], den: int = 1) -> KLaurent:
-    """The expansion of ``table`` over ``den``, one ``Fraction`` per nonzero coefficient."""
-    cells, total = _expand_laurent(table, den)
-    return {e: {s: Fraction(c, total) for s, c in row.items()} for e, row in cells.items()}
+    """The expansion of ``table`` over ``den``, read-only, one ``Fraction`` per nonzero coefficient."""
+    return _fractions(*_expand_laurent(table, den))
 
 
 def recip_power_real_sum(n: int) -> JordanCombo:
     """Coprime-sum of Re (e^(2*pi*i*m/k) - 1)^(-n) as a Jordan combination."""
     _check_int("recip_power_real_sum", "n", n, 1)
-    return _published({(0, n): 1}).get(0, {})
+    return _published({(0, n): 1}).get(0, _Frozen())
 
 
 def _recursion_laurent(n: int) -> tuple[dict, int]:

@@ -20,6 +20,7 @@ familiar presentation (e.g. a single 1/187110 prefactor).
 
 Every shared value, a ``ClosedForm`` body or a cached table, is a read-only
 dict (``_Frozen``) handed out as it is, so a form is immutable and hashable.
+Every one of ``Fraction``s comes from integer rows through ``_fractions``.
 
 Each form carries its evaluation plan, built once by ``_int_plan``, as every
 plan is, from its canonical integers: the lowest k-exponent, the (Jordan
@@ -77,9 +78,7 @@ def _check_mapping(caller: str, param: str, value) -> None:
 def kl_shift(a: KLaurent, t: int) -> KLaurent:
     """Multiply by k^t (shift every exponent by t)."""
     _check_int("kl_shift", "t", t)
-    _check_mapping("kl_shift", "a", a)
-    for e, combo in a.items():
-        _check_mapping("kl_shift", f"a[{e!r}]", combo)
+    _check_laurent("kl_shift", "a", a)
     return {e + t: dict(combo) for e, combo in a.items()}
 
 
@@ -104,9 +103,9 @@ class _Frozen(dict):
         return _Frozen, (dict(self),)
 
 
-def _frozen(table: Mapping) -> _Frozen:
-    """Read-only copy of a combo, Laurent or scalar table; nested maps are frozen too."""
-    return _Frozen({key: _frozen(v) if isinstance(v, Mapping) else v for key, v in table.items()})
+def _fractions(rows: Mapping[int, Mapping[int, int]], den: int) -> _Frozen:
+    """The read-only view {e: {s: rows[e][s] / den}} of integer rows, one ``Fraction`` per cell."""
+    return _Frozen({e: _Frozen({s: Fraction(c, den) for s, c in row.items()}) for e, row in rows.items()})
 
 
 def _check_rational(caller: str, param: str, value) -> None:
@@ -239,8 +238,7 @@ class ClosedForm:
             scalar = self.scalar * Fraction(g, den)
             body = {e: {s: c // g for s, c in combo.items()} for e, combo in body.items()}
         object.__setattr__(self, "scalar", scalar)
-        fractions = {e: {s: Fraction(c) for s, c in combo.items()} for e, combo in body.items()}
-        object.__setattr__(self, "body", _frozen(fractions))
+        object.__setattr__(self, "body", _fractions(body, 1))
         object.__setattr__(self, "_plan", _int_plan(body, scalar.numerator, scalar.denominator, self.phi_exp))
         object.__setattr__(self, "_renders", {})
 

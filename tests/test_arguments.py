@@ -171,6 +171,8 @@ KEY_CALLS = [
     ("evaluate_laurent", "k-exponent", lambda keys: evaluate_laurent({key: {2: Fraction(1)} for key in keys}, 7)),
     ("evaluate_laurent", "Jordan index", lambda keys: evaluate_laurent({0: dict.fromkeys(keys, Fraction(1))}, 7)),
     ("render", "Jordan index", lambda keys: render(dict.fromkeys(keys, Fraction(1)), "json")),
+    ("kl_shift", "k-exponent", lambda keys: kl_shift({key: {2: Fraction(1)} for key in keys}, 1)),
+    ("kl_shift", "Jordan index", lambda keys: kl_shift({0: dict.fromkeys(keys, Fraction(1))}, 1)),
 ]
 KEY_IDS = [f"{fn}-{param}" for fn, param, _ in KEY_CALLS]
 
@@ -238,16 +240,36 @@ COEFFICIENT_CALLS = [
     ("evaluate_jordan", lambda c: evaluate_jordan({2: c}, 7)),
     ("evaluate_laurent", lambda c: evaluate_laurent({0: {2: c}}, 7)),
     *[("render", lambda c, format=format: render({2: c}, format)) for format in ("json", "latex", "text")],
+    ("kl_shift", lambda c: kl_shift({0: {2: c}}, 1)),
 ]
 
 
 @pytest.mark.parametrize("c", (0.5, 0.0, "1/3", True, None), ids=repr)
-@pytest.mark.parametrize("function,call", COEFFICIENT_CALLS, ids=["form", "form-lower", "jordan", "laurent", "render-json", "render-latex", "render-text"])
+@pytest.mark.parametrize("function,call", COEFFICIENT_CALLS, ids=["form", "form-lower", "jordan", "laurent", "render-json", "render-latex", "render-text", "shift"])
 def test_coefficient_is_checked(function, call, c):
     # a coefficient is an int (not a bool) or a Fraction, zero coefficients included
     with pytest.raises(ValueError) as info:
         call(c)
     assert str(info.value) == f"{function}: coefficient of Jordan index 2 must be an int or a Fraction, got {c!r}"
+
+
+@pytest.mark.parametrize(
+    "a,message",
+    [
+        ({0.5: {2: Fraction(1)}}, "k-exponent must be an integer, got 0.5"),
+        ({True: {2: Fraction(1)}}, "k-exponent must be an integer, got True"),
+        ({"a": {2: Fraction(1)}}, "k-exponent must be an integer, got 'a'"),
+        ({0: {2.0: Fraction(1)}}, "Jordan index must be an integer, got 2.0"),
+        ({0: {"x": Fraction(1)}}, "Jordan index must be an integer, got 'x'"),
+        ({0: {2: 0.5}}, "coefficient of Jordan index 2 must be an int or a Fraction, got 0.5"),
+    ],
+    ids=["float-exponent", "bool-exponent", "word-exponent", "float-index", "word-index", "float-coefficient"],
+)
+def test_shifted_table_follows_the_table_rule(a, message):
+    # kl_shift neither shifts a float or bool exponent nor passes a bad key or coefficient through
+    with pytest.raises(ValueError) as info:
+        kl_shift(a, 1)
+    assert str(info.value) == f"kl_shift: {message}"
 
 
 @pytest.mark.parametrize("scalar", ("x", None, 0.1, 1.0, True), ids=repr)

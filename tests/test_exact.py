@@ -1,8 +1,12 @@
 """Tests for the exact combinatorial scalar tables."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -145,3 +149,49 @@ def test_factorial_matches_math():
         assert factorial(n) == math.factorial(n)
     with pytest.raises(ValueError):
         factorial(-1)
+
+
+# Builds B_0..B_160 and the rows A(q, .) for q <= 160 from nothing, from four
+# threads started at one barrier (or from one), with the interpreter switching
+# threads every microsecond, then prints every entry.
+COLD_BUILD = """
+import sys, threading
+from meansq.exact import bernoulli, deriv_coeff
+threads = int(sys.argv[1])
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(threads)
+errors = []
+
+def build():
+    barrier.wait()
+    try:
+        bernoulli(160)
+        deriv_coeff(160, 1)
+    except Exception as error:
+        errors.append(repr(error))
+
+workers = [threading.Thread(target=build) for _ in range(threads)]
+for worker in workers:
+    worker.start()
+for worker in workers:
+    worker.join(timeout=60)
+assert not any(worker.is_alive() for worker in workers) and not errors, errors
+print([bernoulli(n) for n in range(161)])
+print([deriv_coeff(q, j) for q in range(161) for j in range(1, q + 2)])
+"""
+
+
+def cold_build(threads: int) -> str:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_BUILD, str(threads)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_concurrent_cold_builds_give_the_serial_tables():
+    # each table entry is computed from entries of lower index only, so
+    # threads that build the tables at once store the values one thread does
+    assert cold_build(4) == cold_build(1)

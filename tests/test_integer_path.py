@@ -14,7 +14,7 @@ from math import comb
 
 import pytest
 
-from meansq import mean_square, sine_sums
+from meansq import mean_square, sine_sums, symbolic
 from meansq.exact import _bernoulli_ints, _bernoulli_weights, _deriv_int, _weighted_cells, bernoulli, factorial
 from meansq.mean_square import _power_sum
 from meansq.sine_sums import _recip_power_real
@@ -258,14 +258,17 @@ def test_sine_rows_match_the_per_call_rule(reference_expansion):
 
 def test_expansion_makes_no_fraction(monkeypatch):
     # the Laurent expansion and the induction step stay in integers: only the
-    # published values, built before the patch, are Fractions
+    # published values, built before the patch by symbolic._fractions, are
+    # Fractions; sine_sums imports no Fraction, but the name is set there too,
+    # so that one imported later is refused as well
     sine_sums.sin_sum_exact(40)
     mean_square.exp_product_real(5, 6)
 
     def refuse(*args):
         raise AssertionError(f"Fraction{args} made in the expansion")
 
-    monkeypatch.setattr(sine_sums, "Fraction", refuse)
+    monkeypatch.setattr(sine_sums, "Fraction", refuse, raising=False)
+    monkeypatch.setattr(symbolic, "Fraction", refuse)
     expansions = [sine_sums._recursion_laurent(n) for n in range(2, 41, 2)]
     expansions.append(sine_sums._expand_laurent(mean_square._convolve(_power_sum(5), _power_sum(6))))
     for cells, den in expansions:

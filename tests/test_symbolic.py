@@ -18,7 +18,7 @@ from mpmath import mp
 from combo_algebra import jc_add, jc_scale, kl_add
 from meansq import mean_square
 from meansq.mean_square import exp_product_real
-from meansq.sine_sums import sin_sum_exact
+from meansq.sine_sums import recip_power_real_sum, sin_sum_exact
 from meansq.symbolic import (
     ClosedForm,
     evaluate_closed_form,
@@ -335,6 +335,16 @@ class TestImmutability:
                     with pytest.raises(TypeError):
                         change(table)
                     assert get() is value and get() == pristine, (name, level, mutator)
+
+    def test_built_values_refuse_every_change(self):
+        # the power-sum expansion and R(n) are built on each call, read-only like every cached value
+        for value in (mean_square.power_sum_real(3), mean_square.power_sum_real(6), recip_power_real_sum(5)):
+            pristine = {key: dict(v) if isinstance(v, dict) else v for key, v in value.items()}
+            for table in [value] + [v for v in value.values() if isinstance(v, dict)]:
+                for mutator, change in MUTATORS.items():
+                    with pytest.raises(TypeError):
+                        change(table)
+                    assert value == pristine, mutator
 
     def test_copies_of_cached_values(self):
         for name, get in CACHED_GETTERS.items():
