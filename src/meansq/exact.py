@@ -4,14 +4,17 @@ Everything downstream (sine power sums, mean-square closed forms) is a huge
 nested sum of products of factorials, binomials, Bernoulli numbers and the
 coefficients that express derivatives of 1/(e^w - 1) as powers of
 1/(e^w - 1), all exact.  The public functions return ``Fraction``s; inside,
-the tables are ``int``s over one denominator (``_bernoulli_ints``,
-``_deriv_int``), so the builders downstream stay in integers too.  The
-sine-sum induction, the power sums and the sigma blocks all expand one
-Bernoulli-weighted power sum, with cells from ``_weighted_cells`` and
-weights from ``_bernoulli_weights``: W_e = C(r, e) P(e, min(q_max, e - 1)),
-reflected (-1)^(r+e+1) W_e, from one cached P(e, m) = sum_{q <= m} C(e, q) B_q.
+the derivative coefficients are ``int`` rows (``_deriv_int``), so the
+builders downstream stay in integers too.  The power sums expand with
+weights C(p, e), and the sine-sum induction and the sigma blocks expand one
+Bernoulli-weighted power sum, all with cells from ``_weighted_cells``.
 
-Every table (B_q, rows of derivative coefficients, P) is a ``functools.cache``
+Lemma: the Bernoulli-weighted power sum of rank r, sum_{q <= r} B_q C(r, q)
+k^q S(r-q), has one nonzero weight, r at k^1 (``_bernoulli_weights``).
+Proof: its weight of k^e is C(r, e) sum_{q < e} C(e, q) B_q, and that sum is
+[e = 1] by the recurrence that defines B_(e-1).
+
+Every table (B_q, rows of derivative coefficients) is a ``functools.cache``
 entry keyed by its index and computed from lower indices only, so threads that
 build one at once store equal values, the ones a single thread gives.
 """
@@ -64,19 +67,21 @@ def bernoulli(n: int) -> Fraction:
 
 @cache
 def _bernoulli(n: int) -> Fraction:
-    """B_n = -sum_{q<n} C(n+1, q) B_q / (n+1) over the lcm of the earlier denominators, which
-    ``_bernoulli_ints`` reads in ascending order, so recursion stays shallow."""
+    """B_n = -sum_{q<n} C(n+1, q) B_q / (n+1), and 0 for odd n > 1.
+
+    Only B_0, B_1 and the even indices below n enter the sum, as integer
+    numerators over the lcm of their denominators; they are read in
+    ascending order, so recursion stays shallow.
+    """
     if n == 0:
         return Fraction(1)
-    nums, den = _bernoulli_ints(n - 1)
-    return Fraction(-sum(math.comb(n + 1, q) * b for q, b in enumerate(nums)), den * (n + 1))
-
-
-def _bernoulli_ints(n: int) -> tuple[list[int], int]:
-    """B_0..B_n as integer numerators over one denominator, the lcm of theirs."""
-    bs = [_bernoulli(q) for q in range(n + 1)]
+    if n % 2 and n > 1:
+        return Fraction(0)
+    qs = [q for q in (0, 1, *range(2, n, 2)) if q < n]
+    bs = [_bernoulli(q) for q in qs]
     den = math.lcm(*[b.denominator for b in bs])
-    return [b.numerator * (den // b.denominator) for b in bs], den
+    total = sum(math.comb(n + 1, q) * b.numerator * (den // b.denominator) for q, b in zip(qs, bs))
+    return Fraction(-total, den * (n + 1))
 
 
 def deriv_coeff(q: int, j: int) -> Fraction:
@@ -118,32 +123,17 @@ def _deriv_row(q: int) -> tuple[int, ...]:
     return tuple(-j * row[j] - (j - 1) * row[j - 1] for j in range(1, len(row)))
 
 
-@cache
-def _bernoulli_partial(e: int, m: int) -> Fraction:
-    """P(e, m) = sum_{q <= m} C(e, q) B_q; by the Bernoulli recurrence P(e, e-1) = [e = 1]."""
-    nums, den = _bernoulli_ints(m)
-    return Fraction(sum(math.comb(e, q) * b for q, b in enumerate(nums)), den)
-
-
-def _bernoulli_weights(r: int, q_max: int, reflected: bool = False) -> tuple[dict[int, int], int]:
-    """Weight W_e of k^e in sum_{q <= q_max} B_q C(r, q) k^q S(r-q), or its reflected form.
+def _bernoulli_weights(r: int) -> dict[int, int]:
+    """Weights {e: W_e} of k^e in U = sum_{q <= r} B_q C(r, q) k^q S(r-q): {1: r}.
 
     With S(p) = sum_j C(p, j) k^j sum_alpha A(p-j, alpha) R(alpha), the term
     (q, j) lands on k^e, e = q + j, and C(r, q) C(r-q, e-q) = C(r, e) C(e, q),
-    so W_e = C(r, e) P(e, min(q_max, e - 1)).  The reflected form puts
-    sum_{a < r-q} (-1)^(r-q-a) C(r-q, a) k^(q+a) S(r-q-a) for k^q S(r-q); as
-    C(r-q, a) C(r-q-a, j) = C(r-q, e-q) C(e-q, a) and the sum over a < e-q of
-    (-1)^(r-q-a) C(e-q, a) is (-1)^(r+e+1), its weights are (-1)^(r+e+1) W_e.
-    All are ints over lcm(B_0..B_{q_max} denominators), returned with them;
-    most are exactly zero, which the arithmetic finds and nothing here assumes.
+    so W_e = C(r, e) sum_{q < e} C(e, q) B_q = C(r, e) [e = 1] (S(0) is empty).
+    U's reflected form, which puts sum_{a < r-q} (-1)^(r-q-a) C(r-q, a)
+    k^(q+a) S(r-q-a) for k^q S(r-q), has weights (-1)^(r+e+1) W_e, as
+    C(r-q, a) C(r-q-a, j) = C(r-q, e-q) C(e-q, a): it is (-1)^r U.
     """
-    bden = _bernoulli_ints(q_max)[1]
-    weights: dict[int, int] = {}
-    for e in range(1, r + 1):
-        p = _bernoulli_partial(e, min(q_max, e - 1))
-        w = math.comb(r, e) * p.numerator * (bden // p.denominator)
-        weights[e] = -w if reflected and (r + e) % 2 == 0 else w
-    return weights, bden
+    return {1: r}
 
 
 def _weighted_cells(r: int, weights: dict[int, int], shift: int = 0, scale: int = 1) -> dict[tuple[int, int], int]:
@@ -155,6 +145,6 @@ def _weighted_cells(r: int, weights: dict[int, int], shift: int = 0, scale: int 
     for e, w in weights.items():
         w *= scale
         if w:
-            for alpha in range(1, r - e + 2):
-                cells[e + shift, alpha] = w * _deriv_int(r - e, alpha)
+            for alpha, a in enumerate(_deriv_row(r - e), 1):
+                cells[e + shift, alpha] = w * a
     return cells

@@ -13,24 +13,24 @@ Below the published values everything is a scalar table keyed by
 * ``_power_sum(p)`` is an integer table (binomials times derivative
   coefficients), and the paired product sum of powers p and q is the
   convolution of two such tables;
-* a sigma block is the convolution of two Bernoulli-weighted power sums,
-  each the integer cells of its nonzero weights W_e = C(r, e) P(e, e - 1),
-  reflected (-1)^(r+e+1) W_e, with P(e, m) = sum_{q <= m} C(e, q) B_q
-  (``exact._bernoulli_weights``), over the lcm of the Bernoulli denominators,
-  so the convolution multiplies only ``int``s and builds no Jordan combination;
+* a sigma block is the convolution of two Bernoulli-weighted power sums
+  sum_{q < r} B_q C(r, q) k^q S(r-q).  By the lemma in ``exact``, each has
+  one nonzero weight, r at k^1, so its table is the integer cells r A(r-1, alpha)
+  at k^1, signed (-1)^r in the reflected form, and the convolution multiplies
+  only ``int``s and builds no Jordan combination;
 * ``sine_sums._published`` turns that table and its denominator into a
   read-only ``KLaurent``, expanding one Jordan combination per k-exponent in
   integers (``sine_sums._expand_laurent``) before forming its ``Fraction``s.
 
 One template, ``_sigma(kind, r)``, builds all six blocks, one cached block
-per (kind, rank), with q1, q2 <= q_max = r - 1.  The unprimed names take
+per (kind, rank), with q1, q2 <= r - 1.  The unprimed names take
 r = 2h + 1 (odd case), the primed names r = 2h (even case), where the
 paper's q1, q2 <= 2h - 2 gives the same block: B_(r-1) = 0 for even r >= 4.
 The closed forms read the same blocks.  The kind picks:
 
 * ``single``    (``sigma0`` / ``sigma0_prime``) -- the single-exponential
-  block: phi(k)/2 at r = 1 and identically zero above, which the exact
-  Bernoulli cancellation finds; the builder just does the arithmetic.
+  block: phi(k)/2 at r = 1 and identically zero above, as its scalar, the
+  weight of k^r, is [r = 1].
 * ``reflected`` (``sigma1`` / ``sigma1_prime``) -- the block produced by
   reflecting the conjugate exponential sum; ``sigma1(h) = -sigma2(h)`` and
   ``sigma1_prime(h) = sigma2_prime(h)`` exactly, as the final formulas need
@@ -48,6 +48,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 from .exact import _bernoulli_weights, _weighted_cells, bernoulli, factorial
 from .multiplicative import _check_int
@@ -98,7 +99,7 @@ def _power_sum(p: int) -> Table:
     with R(n) the reciprocal-power sum from ``sine_sums``; the table maps
     (j, alpha) to the integer C(p,j) A(p-j, alpha).
     """
-    return _Frozen(_weighted_cells(p, _bernoulli_weights(p, 0)[0]))
+    return _Frozen(_weighted_cells(p, {j: comb(p, j) for j in range(1, p + 1)}))
 
 
 @cache
@@ -152,21 +153,22 @@ def _sigma(kind: str, r: int) -> Mapping:
 
     * ``direct``    -- k^(-2r) U * U;
     * ``reflected`` -- k^(-2r) U * V, V the reflected form of U, its weights
-                       signed by (-1)^(r+e+1) (``exact._bernoulli_weights``);
-    * ``single``    -- -P(r, r-1) k^(-r) U; P(r, r-1) is U's W_r.
+                       signed by (-1)^(r+e+1), so V = (-1)^r U;
+    * ``single``    -- -W_r k^(-r) U, W_r U's weight of k^r.
 
-    U and V are integer tables over one Bernoulli denominator, so the
-    convolution multiplies only ints; the scalars are collected per
-    (k-exponent, order of R) and expanded once at the end.
+    U's one nonzero weight is r at k^1 (``exact._bernoulli_weights``), so U
+    and V are integer tables and the convolution multiplies only ints; the
+    scalars are collected per (k-exponent, order of R) and expanded once at
+    the end.
     """
-    weights, bden = _bernoulli_weights(r, r - 1)
+    weights = _bernoulli_weights(r)
     if kind == "single":
-        table = _weighted_cells(r, weights, shift=-r, scale=-weights[r])
+        table = _weighted_cells(r, weights, shift=-r, scale=-weights.get(r, 0))
     else:
         first = _weighted_cells(r, weights)
-        second = first if kind == "direct" else _weighted_cells(r, _bernoulli_weights(r, r - 1, reflected=True)[0])
+        second = first if kind == "direct" else _weighted_cells(r, weights, scale=(-1) ** r)
         table = _convolve(first, second, shift=-2 * r)
-    return _published(table, bden * bden)
+    return _published(table)
 
 
 def sigma2(h: int) -> KLaurent:

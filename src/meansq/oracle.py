@@ -39,7 +39,7 @@ from fractions import Fraction
 from mpmath import mp
 from mpmath.libmp import MPZ
 
-from .exact import binomial, deriv_coeff
+from .exact import _deriv_int
 from .multiplicative import _check_int, coprime_residues, euler_phi, factorize
 
 __all__ = [
@@ -493,6 +493,11 @@ def _unit_root(num: int, den: int):
     return mp.expjpi(2 * mp.mpf(num) / den)
 
 
+def _power_exp_sum(n: int, m: int, k: int):
+    """sum_{j<k} j^n e^(2*pi*i*m*j/k), term by term at the current precision."""
+    return mp.fsum((j**n * _unit_root(m * j, k) for j in range(1, k)), absolute=False)
+
+
 def exp_sum_direct(p: int, q: int, k: int, precision_bits: int = 128):
     """Triple-loop evaluation of the paired power-twisted exponential sum.
 
@@ -507,9 +512,7 @@ def exp_sum_direct(p: int, q: int, k: int, precision_bits: int = 128):
     with mp.workprec(precision_bits + _GUARD_BITS):
         total = mp.mpc(0)
         for m in coprime_residues(k):
-            first = mp.fsum((j**p * _unit_root(m * j, k) for j in range(1, k)), absolute=False)
-            second = mp.fsum((s**q * _unit_root(m * s, k) for s in range(1, k)), absolute=False)
-            total += first * second
+            total += _power_exp_sum(p, m, k) * _power_exp_sum(q, m, k)
     with mp.workprec(precision_bits):
         total = +total
     return total
@@ -536,14 +539,14 @@ def power_exp_identity_check(
         raise ValueError(f"power_exp_identity_check: gcd(m, k) must be 1, got m={m}, k={k}")
     _check_int("power_exp_identity_check", "precision_bits", precision_bits, 53)
     with mp.workprec(precision_bits + _GUARD_BITS):
-        lhs = mp.fsum((j**n * _unit_root(m * j, k) for j in range(1, k)), absolute=False)
+        lhs = _power_exp_sum(n, m, k)
         w = _unit_root(m, k) - 1
         rhs = mp.mpc(0)
         for j in range(1, n + 1):
             inner = mp.fsum(
-                (int(deriv_coeff(n - j, alpha)) * w**-alpha for alpha in range(1, n - j + 2)),
+                (_deriv_int(n - j, alpha) * w**-alpha for alpha in range(1, n - j + 2)),
                 absolute=False,
             )
-            rhs += int(binomial(n, j)) * mp.mpf(k) ** j * inner
+            rhs += math.comb(n, j) * mp.mpf(k) ** j * inner
         scale = max(abs(lhs), abs(rhs), mp.mpf(1e-30))
         return bool(abs(lhs - rhs) / scale <= tol)

@@ -20,10 +20,9 @@ Bernoulli/binomial sums never normalize a fraction:
   R(n) of the real part of (e^(2*pi*i*m/k) - 1)^(-n), reduced to sine
   power sums by 1/(e^(it) - 1) = -(1 + i cot(t/2))/2 and cot^2 = csc^2 - 1:
   binomials of n and one Taylor shift, for both parities;
-* ``_recursion_laurent(n)`` expands the step's weights W_e = C(n, e)
-  P(e, e - 1), P(e, m) = sum_{q <= m} C(e, q) B_q (``exact._bernoulli_weights``,
-  unreflected: no sign (-1)^(n+e+1)), which the Bernoulli recurrence makes
-  n [e = 1], into integer cells over lcm(B_q denominators) * n!;
+* ``_recursion_laurent(n)`` expands the step's Bernoulli-weighted power sum,
+  whose one nonzero weight is n at k^1 (``exact._bernoulli_weights``), into
+  integer cells over n! times B_n's denominator, which its J_n term needs;
 * ``_expand_laurent`` collects a {(k-exponent, order of R): numerator}
   table into one integer {sine order: numerator} table per k-exponent and
   multiply-adds it over the rows of the sine sums' plans, into integers per
@@ -167,15 +166,14 @@ def _recursion_laurent(n: int) -> tuple[dict, int]:
     """The induction step for order n, before collecting k-powers, as ``_expand_laurent`` returns it.
 
     (-1)^(n/2) 2^n / n! k^(-1) times the Bernoulli-weighted power sum of rank
-    n, the order-n sine sum moved out of every R into one J_n term.  Every
-    weight off k^0 is exactly zero (the Bernoulli recurrence); a nonzero one
-    leaves its k-power for ``_sin`` to reject, which tests check through here.
+    n, the order-n sine sum moved out of every R into one J_n term.  Its one
+    nonzero weight, n at k^1, lands on k^0; a weight anywhere else would leave
+    its k-power for ``_sin`` to reject, which tests check through here.
     """
-    weights, bden = _bernoulli_weights(n, n)
-    table = _weighted_cells(n, weights, shift=-1, scale=(-1) ** (n // 2) * 2**n)
-    cells, total = _expand_laurent(table, bden * factorial(n), exclude=n)
-    # the J_n term (-1)^(n/2+1) 2^n B_n / n!, last at k^0; total is a multiple of n! bden
-    b = bernoulli(n)
+    b = bernoulli(n)  # its denominator carried only for the J_n term
+    table = _weighted_cells(n, _bernoulli_weights(n), shift=-1, scale=(-1) ** (n // 2) * 2**n * b.denominator)
+    cells, total = _expand_laurent(table, factorial(n) * b.denominator, exclude=n)
+    # the J_n term (-1)^(n/2+1) 2^n B_n / n!, last at k^0; total is a multiple of n! B_n's denominator
     cells.setdefault(0, {})[n] = (-1) ** (n // 2 + 1) * 2**n * b.numerator * (total // factorial(n) // b.denominator)
     return cells, total
 

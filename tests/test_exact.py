@@ -64,8 +64,9 @@ class TestBernoulli:
         assert bernoulli(12) == Fraction(-691, 2730)
 
     def test_against_akiyama_tanigawa(self):
-        oracle = akiyama_tanigawa(24)
-        for n in range(25):
+        # the oracle runs no recurrence, so it also checks the odd-index shortcut
+        oracle = akiyama_tanigawa(120)
+        for n in range(121):
             expected = -oracle[n] if n == 1 else oracle[n]
             assert bernoulli(n) == expected, f"B_{n}"
 

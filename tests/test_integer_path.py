@@ -15,7 +15,7 @@ from math import comb
 import pytest
 
 from meansq import mean_square, sine_sums, symbolic
-from meansq.exact import _bernoulli_ints, _bernoulli_weights, _deriv_int, _weighted_cells, bernoulli, factorial
+from meansq.exact import _bernoulli_weights, _deriv_int, _weighted_cells, bernoulli, factorial
 from meansq.mean_square import _power_sum
 from meansq.sine_sums import _recip_power_real
 
@@ -58,9 +58,9 @@ def reference_induction_weights(n):
 
 def reference_bernoulli_weights(r, q_max, reflected):
     """The weights summed term by term over (q, a, j), e = q + a + j."""
-    bnums, bden = _bernoulli_ints(q_max)
     weights = {}
-    for q, b in enumerate(bnums):
+    for q in range(q_max + 1):
+        b = bernoulli(q)
         if not b:
             continue
         w = b * comb(r, q)
@@ -69,7 +69,7 @@ def reference_bernoulli_weights(r, q_max, reflected):
             p = r - q - a
             for j in range(1, p + 1):
                 weights[q + a + j] = weights.get(q + a + j, 0) + wa * comb(p, j)
-    return weights, bden
+    return weights
 
 
 def reference_bernoulli_sum(r, q_max, reflected):
@@ -100,9 +100,9 @@ def nonzero(table):
 
 
 def test_bernoulli_numerators_share_one_denominator():
-    nums, den = _bernoulli_ints(60)
-    assert [Fraction(b, den) for b in nums] == [bernoulli(q) for q in range(61)]
-    # von Staudt-Clausen: the lcm is the product of the primes p with p - 1 <= 60
+    # von Staudt-Clausen: the lcm of the denominators of B_0..B_60 is the
+    # product of the primes p with p - 1 <= 60
+    den = math.lcm(*[bernoulli(q).denominator for q in range(61)])
     assert den == math.prod(p for p in range(2, 62) if all(p % d for d in range(2, p)))
 
 
@@ -128,32 +128,39 @@ def test_recip_power_real_table(n):
 def test_induction_weights(n):
     # the induction scales the Bernoulli weights of rank n by (-1)^(n/2) 2^n / n!
     # and shifts them to k^(e-1)
-    weights, den = _bernoulli_weights(n, n)
+    weights = _bernoulli_weights(n)
     assert all(type(v) is int for v in weights.values())
     shifted = {e - 1: (-1) ** (n // 2) * 2**n * w for e, w in weights.items()}
-    assert over(shifted, den * factorial(n)) == nonzero(reference_induction_weights(n))
+    assert over(shifted, factorial(n)) == nonzero(reference_induction_weights(n))
 
 
 @pytest.mark.parametrize("r", range(1, 41))
 def test_bernoulli_weights_match_the_term_sum(r):
-    # W_e = C(r, e) P(e, min(q_max, e - 1)), reflected (-1)^(r+e+1) W_e
-    for q_max in range(r + 1):
+    # the closed weights at each q_max a builder reads: C(r, e) at q_max = 0 (the
+    # power sums), r at k^1 at q_max = r - 1 (the sigma blocks) and at q_max = r
+    # (the induction); reflected, each is signed (-1)^(r+e+1).  The cells of
+    # q_max = 0 are checked here, those of q_max = r - 1 by test_bernoulli_sum
+    weights = _bernoulli_weights(r)
+    assert all(type(v) is int for v in weights.values())
+    power = {e: comb(r, e) for e in range(1, r + 1)}
+    assert _power_sum(r) == _weighted_cells(r, power)
+    for q_max, closed in [(0, power), (r - 1, weights), (r, weights)]:
         for reflected in (False, True):
-            weights, den = _bernoulli_weights(r, q_max, reflected)
-            want, want_den = reference_bernoulli_weights(r, q_max, reflected)
-            assert all(type(v) is int for v in weights.values())
-            assert (nonzero(weights), den) == (nonzero(want), want_den), (q_max, reflected)
+            want = {e: (-1) ** (r + e + 1) * w if reflected else w for e, w in closed.items()}
+            assert nonzero(reference_bernoulli_weights(r, q_max, reflected)) == want, (q_max, reflected)
+            if q_max == 0:
+                assert _weighted_cells(r, want) == nonzero(reference_bernoulli_sum(r, 0, reflected)), reflected
 
 
 @pytest.mark.parametrize("r", [*range(1, 22, 2), *range(4, 21, 2)])
 def test_bernoulli_sum(r):
-    # q_max as the mean squares use it: r - 1 for both parities
-    q_max = r - 1
+    # the sigma blocks' tables, q_max = r - 1 for both parities: U's cells, and
+    # the reflected form's, U's signed (-1)^r
+    weights = _bernoulli_weights(r)
     for reflected in (False, True):
-        weights, den = _bernoulli_weights(r, q_max, reflected)
-        table = _weighted_cells(r, weights)
+        table = _weighted_cells(r, weights, scale=(-1) ** r if reflected else 1)
         assert all(type(v) is int for v in table.values())
-        assert over(table, den) == nonzero(reference_bernoulli_sum(r, q_max, reflected)), reflected
+        assert table == nonzero(reference_bernoulli_sum(r, r - 1, reflected)), reflected
 
 
 def test_built_tables_hold_no_zero_cell(monkeypatch):

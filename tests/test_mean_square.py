@@ -115,8 +115,9 @@ class TestFinalForms:
 
     @pytest.mark.parametrize("r", range(4, 41, 2))
     def test_even_form_is_built_on_sigma2_prime(self, r):
-        # both read the rank-r direct block, q_max = r - 1; the paper's even
-        # case stops at q_max = r - 2, and the term between carries B_(r-1) = 0
+        # both read the rank-r direct block, whose Bernoulli sum runs to q = r - 1;
+        # the paper's even case stops at q = r - 2, and the term between carries
+        # B_(r-1) = 0
         scalar = (-1) ** r * F(4) ** (r - 1) / F(math.factorial(r)) ** 2
         expected = ClosedForm(scalar=scalar, pi_exp=2 * r, phi_exp=1, body=kl_shift(sigma2_prime(r // 2), -2))
         assert mean_square_even(r) == expected
