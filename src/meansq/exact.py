@@ -4,10 +4,12 @@ Everything downstream (sine power sums, mean-square closed forms) is a huge
 nested sum of products of factorials, binomials, Bernoulli numbers and the
 coefficients that express derivatives of 1/(e^w - 1) as powers of
 1/(e^w - 1), all exact.  The public functions return ``Fraction``s; inside,
-the derivative coefficients are ``int`` rows (``_deriv_int``), so the
-builders downstream stay in integers too.  The power sums expand with
-weights C(p, e), and the sine-sum induction and the sigma blocks expand one
-Bernoulli-weighted power sum, all with cells from ``_weighted_cells``.
+the derivative coefficients are ``int`` rows (``_deriv_row``), which
+``deriv_coeff`` indexes and the builders downstream and the oracle's
+identity check read whole, so they stay in integers too.  The power sums
+expand with weights C(p, e), and the sine-sum induction and the sigma
+blocks expand one Bernoulli-weighted power sum, all with cells from
+``_weighted_cells``.
 
 Lemma: the Bernoulli-weighted power sum of rank r, sum_{q <= r} B_q C(r, q)
 k^q S(r-q), has one nonzero weight, r at k^1 (``_bernoulli_weights``).
@@ -99,12 +101,7 @@ def deriv_coeff(q: int, j: int) -> Fraction:
     _check_int("deriv_coeff", "j", j, 1)
     if j > q + 1:
         raise ValueError(f"deriv_coeff: j must be in [1, {q + 1}], got {j}")
-    return Fraction(_deriv_int(q, j))
-
-
-def _deriv_int(q: int, j: int) -> int:
-    """``deriv_coeff(q, j)`` as an int, for in-range arguments."""
-    return _deriv_row(q)[j - 1]
+    return Fraction(_deriv_row(q)[j - 1])
 
 
 @cache

@@ -18,9 +18,9 @@ Below the published values everything is a scalar table keyed by
   one nonzero weight, r at k^1, so its table is the integer cells r A(r-1, alpha)
   at k^1, signed (-1)^r in the reflected form, and the convolution multiplies
   only ``int``s and builds no Jordan combination;
-* ``sine_sums._published`` turns that table and its denominator into a
-  read-only ``KLaurent``, expanding one Jordan combination per k-exponent in
-  integers (``sine_sums._expand_laurent``) before forming its ``Fraction``s.
+* ``sine_sums._published`` turns that integer table into a read-only
+  ``KLaurent``, expanding one Jordan combination per k-exponent in integers
+  (``sine_sums._expand_laurent``) before forming its ``Fraction``s.
 
 One template, ``_sigma(kind, r)``, builds all six blocks, one cached block
 per (kind, rank), with q1, q2 <= r - 1.  The unprimed names take

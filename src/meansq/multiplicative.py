@@ -4,25 +4,21 @@ library's one rule for integer arguments, ``_check_int``.
 One trial-division routine, ``_factor``, factors every integer: the primes
 below 1000 are tried in blocks of 16, each block screened by one gcd with
 the product of its primes, so a block that holds no divisor costs one C
-call.  ``factorize`` wraps its output in a ``Factorization``.
+call.  The oracle reads it directly for the primes of k and of p - 1.
 
 The last 16 moduli seen each keep one entry: k / rad k, the primes of k and
-the J_s(k) formed so far, built in that one pass without a
-``Factorization``.  Every evaluation at k reads and fills that entry, so a
-form, a sine sum and ``jordan_totient`` at one k share one factorization
-and form each J_s(k) once.
+the J_s(k) formed so far, built in that one pass.  Every evaluation at k
+reads and fills that entry, so a form, a sine sum and ``jordan_totient`` at
+one k share one factorization and form each J_s(k) once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Factorization",
-    "factorize",
     "jordan_totient",
     "euler_phi",
     "coprime_residues",
@@ -44,17 +40,6 @@ def _check_int(function: str, param: str, value, least: int | None = None) -> No
         raise ValueError(f"{function}: {param} must be an integer{bound}, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{function}: {param} must be >= {least}, got {value}")
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as an ordered (prime, exponent) list."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple([p for p, _ in self.factors])
 
 
 def _sieve(n: int) -> tuple[int, ...]:
@@ -79,14 +64,16 @@ _PRIME_BLOCKS = tuple([
 def _factor(n: int) -> tuple[list[int], list[int], int]:
     """(the primes of n ascending, their exponents, n / rad n) by trial division.
 
-    The one factorization routine of the package; ``factorize`` and the
-    per-modulus entry are both built from it.  Each block of the primes
-    below 1000 is screened by one ``math.gcd`` with its product, and only
-    the primes of a block sharing a factor with n are tried, until that gcd
-    is used up.  The scan stops at the first block whose first prime squared
-    exceeds what is left of n; that rest is then 1 or a prime.  This settles
-    every n < 10^6.  Past the table it goes on with the odd numbers from
-    1001.  n / rad n is multiplied up from every repeated division.
+    The one factorization routine of the package.  Callers pass n >= 1: at
+    n = 0 it never stops.  Moduli here are user-entered (desk scale, <=
+    ~10^6), so trial division is plenty and keeps this deterministic and
+    dependency-free.  Each block of the primes below 1000 is screened by one
+    ``math.gcd`` with its product, and only the primes of a block sharing a
+    factor with n are tried, until that gcd is used up.  The scan stops at
+    the first block whose first prime squared exceeds what is left of n;
+    that rest is then 1 or a prime.  This settles every n < 10^6.  Past the
+    table it goes on with the odd numbers from 1001.  n / rad n is
+    multiplied up from every repeated division.
     """
     primes = []
     exponents = []
@@ -129,25 +116,13 @@ def _factor(n: int) -> tuple[list[int], list[int], int]:
     return primes, exponents, m
 
 
-def factorize(n: int) -> Factorization:
-    """Complete prime factorization by trial division; n = 1 gives ().
-
-    Moduli here are user-entered (desk scale, <= ~10^6), so trial division
-    is plenty and keeps this deterministic and dependency-free.  See
-    ``_factor`` for the block screen.
-    """
-    _check_int("factorize", "n", n, 1)
-    primes, exponents, _ = _factor(n)
-    return Factorization(factors=tuple(zip(primes, exponents)))
-
-
 @functools.lru_cache(maxsize=16)
 def _modulus(k: int) -> tuple[int, tuple[int, ...], dict[int, int]]:
     """(k / rad k, the primes of k, {s: J_s(k)} filled by ``_jordan_table``).
 
     One entry per modulus, for the last 16 moduli asked for, built straight
-    from ``_factor`` with no ``Factorization`` in between; every caller has
-    passed k through ``_check_int``, so k is always an int.
+    from ``_factor``; every caller has passed k through ``_check_int``, so k
+    is always an int >= 1.
     """
     primes, _, m = _factor(k)
     return m, tuple(primes), {}

@@ -20,6 +20,12 @@ section 6.8 and chapter 12)
 collapses sum |L(r, chi)|^2 over chi(-1) = eps = (-1)^r into a sum over
 coprime residues of squares of Hurwitz zeta values (of digamma values at
 r = 1), so each of the phi(k) values is evaluated once.
+
+Both numeric routes, one L-value and one mean square, take those values from
+one routine, ``_hurwitz_values``, which races them across the CPUs this
+process may use.  The unit group is factored with ``multiplicative._factor``
+and the identity check reads rows of ``exact._deriv_row``, the routines the
+exact engine uses.
 """
 
 from __future__ import annotations
@@ -39,8 +45,8 @@ from fractions import Fraction
 from mpmath import mp
 from mpmath.libmp import MPZ
 
-from .exact import _deriv_int
-from .multiplicative import _check_int, coprime_residues, euler_phi, factorize
+from .exact import _deriv_row
+from .multiplicative import _check_int, _factor, coprime_residues
 
 __all__ = [
     "CharacterGroup",
@@ -124,7 +130,7 @@ class DirichletCharacter:
 
 def _primitive_root_mod_prime(p: int) -> int:
     phi = p - 1
-    prime_divs = factorize(phi).primes
+    prime_divs, _, _ = _factor(phi)
     for g in range(2, p):
         if all(pow(g, phi // q, p) != 1 for q in prime_divs):
             return g
@@ -152,7 +158,8 @@ def character_group(k: int) -> CharacterGroup:
     """Decomposition of (Z/kZ)^x, prime power by prime power, glued by CRT."""
     _check_int("character_group", "k", k, 1)
     factors: list[tuple[int, int]] = []
-    for p, a in factorize(k).factors:
+    primes, exponents, _ = _factor(k)
+    for p, a in zip(primes, exponents):
         pa = p**a
         rest = k // pa
         for g, order in _prime_power_factors(p, a):
@@ -171,7 +178,7 @@ def character_group(k: int) -> CharacterGroup:
         for (g, _), e in zip(factors, vec):
             m = m * pow(g, e, k) % k
         dlog[m] = vec
-    if len(dlog) != int(euler_phi(k)):
+    if len(dlog) != len(coprime_residues(k)):
         raise ArithmeticError(f"character_group: decomposition for k={k} is not a direct product")
     return CharacterGroup(modulus=k, factors=tuple(factors), dlog=dlog)
 
@@ -209,18 +216,20 @@ def l_value_numeric(r: int, chi: DirichletCharacter, precision_bits: int = 128):
     r = 1 is allowed for odd (hence non-principal) chi only; there the
     Hurwitz expansion around the pole leaves L(1, chi) =
     -(1/k) sum_a chi(a) psi(a/k) with psi the digamma function, again a
-    finite combination.  Tail-truncated series are never used.
+    finite combination.  Tail-truncated series are never used.  The
+    values come from ``_hurwitz_values`` at ``precision_bits`` plus the
+    guard bits, raced across CPUs as in ``mean_square_numeric``.
     """
     _check_int("l_value_numeric", "precision_bits", precision_bits, 53)
     _check_int("l_value_numeric", "r", r, 1)
+    if not isinstance(chi, DirichletCharacter):
+        raise ValueError(f"l_value_numeric: chi must be a DirichletCharacter, got {type(chi).__name__}")
     if r == 1 and not chi.is_odd:
         raise ValueError("l_value_numeric: r = 1 needs an odd character (the series only converges conditionally, and only the digamma route applies)")
     k = chi.group.modulus
-    residues = coprime_residues(k)
-    terms = _hurwitz_share(r, k, residues, precision_bits + _GUARD_BITS)
     with mp.workprec(precision_bits + _GUARD_BITS):
         total = mp.mpc(0)
-        for a, term in zip(residues, terms):
+        for a, term in _hurwitz_values(r, k).items():
             total += chi.value(a) * term
         total = -total / k if r == 1 else total / mp.mpf(k) ** r
     with mp.workprec(precision_bits):
@@ -371,8 +380,8 @@ def _collect(helpers: list[_Helper], call: int, values: list) -> None:
                 values[i] = mp.make_mpf((s, MPZ(m), e, bc))
 
 
-def _hurwitz_values(r: int, k: int) -> list:
-    """``_hurwitz_share`` over ``coprime_residues(k)`` at the current precision, in order.
+def _hurwitz_values(r: int, k: int) -> dict:
+    """{a: Z_a} over ``coprime_residues(k)`` ascending, from ``_hurwitz_share`` at the current precision.
 
     The work is raced from both ends.  Each of up to (schedulable CPUs - 1)
     helpers, pinned to one of the other CPUs, gets one request per call: an
@@ -398,12 +407,12 @@ def _hurwitz_values(r: int, k: int) -> list:
         allowed = os.sched_getaffinity(0)
     cpus = sorted(allowed)[: len(residues)]
     if len(cpus) < 2:
-        return _hurwitz_share(r, k, residues, prec)
+        return dict(zip(residues, _hurwitz_share(r, k, residues, prec)))
     try:
         helpers = _start_helpers(len(cpus) - 1)
     except OSError:  # could not fork
         _stop_helpers()
-        return _hurwitz_share(r, k, residues, prec)
+        return dict(zip(residues, _hurwitz_share(r, k, residues, prec)))
     # Left to itself the scheduler runs a helper woken through its pipe on
     # the caller's CPU, where the two take turns: a split call then takes
     # as long as the serial loop or longer.  So this process keeps cpus[0]
@@ -439,7 +448,7 @@ def _hurwitz_values(r: int, k: int) -> list:
     for i, value in enumerate(values):
         if value is None:
             (values[i],) = _hurwitz_share(r, k, [residues[i]], prec)
-    return values
+    return dict(zip(residues, values))
 
 
 def mean_square_numeric(r: int, k: int, precision_bits: int = 128):
@@ -475,9 +484,9 @@ def mean_square_numeric(r: int, k: int, precision_bits: int = 128):
     _check_int("mean_square_numeric", "precision_bits", precision_bits, 53)
     eps = -1 if r % 2 else 1
     with mp.workprec(precision_bits + 2 * _GUARD_BITS):
-        z = dict(zip(coprime_residues(k), _hurwitz_values(r, k)))
+        z = _hurwitz_values(r, k)
         total = mp.fsum((z[a] + eps * z[k - a]) ** 2 for a in z if 2 * a < k)
-        total = total * int(euler_phi(k)) / (2 * mp.mpf(k) ** (2 * r))
+        total = total * len(z) / (2 * mp.mpf(k) ** (2 * r))
     with mp.workprec(precision_bits):
         total = +total
     return total
@@ -529,8 +538,9 @@ def power_exp_identity_check(
         sum_{j=1}^{n} C(n,j) k^j sum_{alpha=1}^{n-j+1}
             A(n-j, alpha) / (e^(2*pi*i*m/k) - 1)^alpha.
 
-    True iff they agree to ``tol`` relative at the given precision; an mpf
-    ``tol`` may lie below the smallest float.
+    True iff they agree to ``tol`` relative at the given precision.  ``tol``
+    is a finite non-negative int, float or mpf; an mpf may lie below the
+    smallest float.
     """
     _check_int("power_exp_identity_check", "n", n, 1)
     _check_int("power_exp_identity_check", "m", m)
@@ -538,13 +548,15 @@ def power_exp_identity_check(
     if math.gcd(m, k) != 1:
         raise ValueError(f"power_exp_identity_check: gcd(m, k) must be 1, got m={m}, k={k}")
     _check_int("power_exp_identity_check", "precision_bits", precision_bits, 53)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, mp.mpf)) or not (mp.isfinite(tol) and tol >= 0):
+        raise ValueError(f"power_exp_identity_check: tol must be a finite non-negative int, float or mpf, got {tol!r}")
     with mp.workprec(precision_bits + _GUARD_BITS):
         lhs = _power_exp_sum(n, m, k)
         w = _unit_root(m, k) - 1
         rhs = mp.mpc(0)
         for j in range(1, n + 1):
             inner = mp.fsum(
-                (_deriv_int(n - j, alpha) * w**-alpha for alpha in range(1, n - j + 2)),
+                (a * w**-alpha for alpha, a in enumerate(_deriv_row(n - j), 1)),
                 absolute=False,
             )
             rhs += math.comb(n, j) * mp.mpf(k) ** j * inner

@@ -151,9 +151,9 @@ def _expand_laurent(table: Mapping[tuple[int, int], int], den: int = 1, exclude:
     return out, den * rden * sden
 
 
-def _published(table: Mapping[tuple[int, int], int], den: int = 1) -> KLaurent:
-    """The expansion of ``table`` over ``den``, read-only, one ``Fraction`` per nonzero coefficient."""
-    return _fractions(*_expand_laurent(table, den))
+def _published(table: Mapping[tuple[int, int], int]) -> KLaurent:
+    """The expansion of ``table``, read-only, one ``Fraction`` per nonzero coefficient."""
+    return _fractions(*_expand_laurent(table))
 
 
 def recip_power_real_sum(n: int) -> JordanCombo:

@@ -14,6 +14,7 @@ import inspect
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from meansq import (
     ClosedForm,
@@ -30,7 +31,6 @@ from meansq import (
     exp_product_real,
     exp_sum_direct,
     factorial,
-    factorize,
     jordan_totient,
     kl_shift,
     l_principal_closed_form,
@@ -77,7 +77,6 @@ CONTRACTS = [
     (mean_square_even, (6,), {"r": 4}),
     (l_principal_closed_form, (4,), {"r": 2}),
     (realjs_rhs_exact, (1, 2, 5), {"p": 1, "q": 1, "k": 3}),
-    (factorize, (12,), {"n": 1}),
     (jordan_totient, (2, 12), {"s": 1, "k": 1}),
     (euler_phi, (12,), {"k": 1}),
     (coprime_residues, (12,), {"k": 1}),
@@ -149,11 +148,10 @@ def test_every_integer_parameter_is_in_the_table():
     [
         (lambda: jordan_totient(2, 12.5), "jordan_totient: k must be an integer >= 1, got 12.5"),
         (lambda: euler_phi(7.5), "euler_phi: k must be an integer >= 1, got 7.5"),
-        (lambda: factorize(12.5), "factorize: n must be an integer >= 1, got 12.5"),
         (lambda: evaluate_closed_form(mean_square_odd(3), 10.0), "evaluate_closed_form: k must be an integer >= 3, got 10.0"),
         (lambda: mean_square_numeric(3, 7, 100.5), "mean_square_numeric: precision_bits must be an integer >= 53, got 100.5"),
     ],
-    ids=["jordan_totient", "euler_phi", "factorize", "evaluate_closed_form", "mean_square_numeric"],
+    ids=["jordan_totient", "euler_phi", "evaluate_closed_form", "mean_square_numeric"],
 )
 def test_non_integer_modulus_and_precision_are_refused(call, message):
     with pytest.raises(ValueError) as info:
@@ -309,6 +307,30 @@ def test_table_that_is_not_a_mapping_is_refused(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("chi", ("chi", None, 5), ids=repr)
+def test_character_is_checked(chi):
+    with pytest.raises(ValueError) as info:
+        l_value_numeric(3, chi)
+    assert str(info.value) == f"l_value_numeric: chi must be a DirichletCharacter, got {type(chi).__name__}"
+
+
+BAD_TOLERANCES = ("x", "1e-10", None, True, Fraction(1, 10), -1, -1e-300, float("nan"), float("inf"), mp.mpf("-inf"), mp.nan)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=repr)
+def test_tolerance_is_checked(tol):
+    # the CLI's --tol rule: a finite non-negative number, never a silent False
+    with pytest.raises(ValueError) as info:
+        power_exp_identity_check(2, 1, 5, 64, tol)
+    assert str(info.value) == f"power_exp_identity_check: tol must be a finite non-negative int, float or mpf, got {tol!r}"
+
+
+@pytest.mark.parametrize("tol", (1, 1e-10, mp.mpf(2) ** -40, 0, 0.0, mp.mpf(2) ** -2000), ids=repr)
+def test_finite_non_negative_tolerance_is_read(tol):
+    # at 64 bits the two sides agree far below 2^-40, but not exactly: 0 and 2^-2000 read False
+    assert power_exp_identity_check(2, 1, 5, 64, tol) is (tol >= 2**-40)
 
 
 def test_int_and_fraction_coefficients_are_read():

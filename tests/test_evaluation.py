@@ -22,7 +22,7 @@ from mpmath import mp
 from combo_algebra import jc_add
 from meansq import multiplicative, sine_sums, symbolic
 from meansq.mean_square import mean_square_even, mean_square_odd
-from meansq.multiplicative import euler_phi, factorize, jordan_totient
+from meansq.multiplicative import _factor, euler_phi, jordan_totient
 from meansq.sine_sums import UncancelledPowerError, sin_sum_exact
 from meansq.symbolic import (
     ClosedForm,
@@ -51,7 +51,7 @@ PRECISIONS = (53, 64, 128, 200, 333)
 
 def ref_jordan(s, k):
     out = Fraction(k) ** s
-    for p in factorize(k).primes:
+    for p in _factor(k)[0]:
         out *= 1 - Fraction(1, p**s)
     return out
 

@@ -15,7 +15,7 @@ from math import comb
 import pytest
 
 from meansq import mean_square, sine_sums, symbolic
-from meansq.exact import _bernoulli_weights, _deriv_int, _weighted_cells, bernoulli, factorial
+from meansq.exact import _bernoulli_weights, _deriv_row, _weighted_cells, bernoulli, factorial
 from meansq.mean_square import _power_sum
 from meansq.sine_sums import _recip_power_real
 
@@ -108,7 +108,7 @@ def test_bernoulli_numerators_share_one_denominator():
 
 def test_deriv_coeff_rows_match_the_sum_definition():
     for q in range(61):
-        assert [_deriv_int(q, j) for j in range(1, q + 2)] == [reference_deriv_coeff(q, j) for j in range(1, q + 2)], q
+        assert list(_deriv_row(q)) == [reference_deriv_coeff(q, j) for j in range(1, q + 2)], q
 
 
 @pytest.mark.parametrize("n", range(1, 161))

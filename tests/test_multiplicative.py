@@ -7,27 +7,34 @@ from itertools import chain, count
 import pytest
 
 from meansq import multiplicative
-from meansq.multiplicative import coprime_residues, euler_phi, factorize, jordan_totient
+from meansq.multiplicative import _factor, coprime_residues, euler_phi, jordan_totient
 
 # The primes below 1000, found by trial division.
 TRIAL_PRIMES = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1)))
 
 
+def factor_pairs(n):
+    """``_factor(n)`` as (prime, exponent) pairs; n >= 1, as every caller of ``_factor`` checks."""
+    primes, exponents, _ = _factor(n)
+    return tuple(zip(primes, exponents))
+
+
 class TestFactorize:
     def test_composite(self):
-        assert factorize(12).factors == ((2, 2), (3, 1))
+        assert factor_pairs(12) == ((2, 2), (3, 1))
 
     def test_one(self):
-        assert factorize(1).factors == ()
+        assert factor_pairs(1) == ()
 
     def test_prime(self):
-        assert factorize(97).factors == ((97, 1),)
+        assert factor_pairs(97) == ((97, 1),)
 
     def test_reconstruction(self):
         for n in range(1, 2000):
-            f = factorize(n)
-            assert math.prod(p**e for p, e in f.factors) == n
-            assert list(f.primes) == sorted(f.primes)
+            primes, exponents, m = _factor(n)
+            assert math.prod(p**e for p, e in zip(primes, exponents)) == n
+            assert primes == sorted(primes)
+            assert m == n // math.prod(primes)
 
     @pytest.mark.parametrize(
         "n,factors",
@@ -42,11 +49,7 @@ class TestFactorize:
     def test_primes_at_and_past_the_table(self, n, factors):
         # 997 is the last prime of the table of primes below 1000; past it
         # the trial division goes on with the odd numbers from 1001
-        assert factorize(n).factors == factors
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            factorize(0)
+        assert factor_pairs(n) == factors
 
     def test_prime_table_is_the_primes_below_1000(self):
         assert len(TRIAL_PRIMES) == 168
@@ -76,12 +79,12 @@ PAST_THE_TABLE = (997**2, 997 * 1009, 1009**2, 10**6 + 3, 2 * (10**6 + 3), 99998
 
 
 class TestBlockScreen:
-    """``factorize`` and the per-modulus entry come from the gcd-screened blocks."""
+    """``_factor`` and the per-modulus entry come from the gcd-screened blocks."""
 
     @staticmethod
     def check(n):
         factors = reference_factors(n)
-        assert factorize(n).factors == factors, n
+        assert factor_pairs(n) == factors, n
         primes = tuple(p for p, _ in factors)
         assert multiplicative._modulus.__wrapped__(n) == (n // math.prod(primes), primes, {}), n
 

@@ -323,13 +323,23 @@ class TestHelperProcesses:
         # three helpers even on a runner with fewer CPUs; the first case,
         # (3, 3), has two residues, the fewest that split
         cases = [(r, k) for r in (3, 1, 4, 7) for k in (*range(3, 17), 30, 60, 61)]
+        # L-values take their Hurwitz values from the same race: both parities, r = 1 only for odd chi
+        l_cases = [
+            (r, chi)
+            for k in (3, 5, 12, 13, 30)
+            for parity, rs in (("odd", (1, 3)), ("even", (2, 4)))
+            for chi in characters_with_parity(k, parity)
+            for r in rs
+        ]
         cpus(4)
         split = [mean_square_numeric(*cases[0])._mpf_]
         assert len(oracle._helpers) == 1
         split += [mean_square_numeric(r, k)._mpf_ for r, k in cases[1:]]
         assert len(oracle._helpers) == 3
+        split += [l_value_numeric(r, chi)._mpc_ for r, chi in l_cases]
         cpus(1)
-        assert [mean_square_numeric(r, k)._mpf_ for r, k in cases] == split
+        serial = [mean_square_numeric(r, k)._mpf_ for r, k in cases]
+        assert serial + [l_value_numeric(r, chi)._mpc_ for r, chi in l_cases] == split
 
     def test_caller_and_helper_keep_separate_cpus(self, cpus, monkeypatch):
         allowed = os.sched_getaffinity(0)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from meansq.exact import bernoulli, binomial
-from meansq.multiplicative import euler_phi, factorize
+from meansq.multiplicative import _factor, euler_phi
 
 sympy = pytest.importorskip("sympy")
 
@@ -20,7 +20,8 @@ MODULI = (*range(1, 2001), *range(10**6 - 20, 10**6 + 21))
 
 def test_factorize():
     for k in MODULI:
-        assert dict(factorize(k).factors) == sympy.factorint(k), k
+        primes, exponents, _ = _factor(k)
+        assert dict(zip(primes, exponents)) == sympy.factorint(k), k
 
 
 def test_euler_phi():
