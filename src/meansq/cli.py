@@ -14,11 +14,11 @@ One table, ``_COMMANDS``, declares each subcommand's handler, help line and
 options, and ``_SUITES`` each identity-check suite's runner and options; the
 parser, the dispatch and the config checks are built from the two.
 
-Exit codes are a stable contract: 0 success, 1 verification or internal
-assertion failure, 2 usage error.  Results go to stdout (byte-identical for
-identical invocations); everything else goes to stderr.  A handler reports a
-usage error by raising ``ValueError``; ``main`` alone prints it, once, as
-``<subcommand>: <message>``, and exits 2.
+Exit codes are a stable contract: 0 success, 1 verification failure (a
+check that did not hold), 2 usage error.  Results go to stdout
+(byte-identical for identical invocations); everything else goes to
+stderr.  A handler reports a usage error by raising ``ValueError``; ``main``
+alone prints it, once, as ``<subcommand>: <message>``, and exits 2.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .mean_square import (
 )
 from .multiplicative import coprime_residues
 from .oracle import exp_sum_direct, mean_square_numeric, power_exp_identity_check
-from .sine_sums import UncancelledPowerError, sin_sum_exact
+from .sine_sums import sin_sum_exact
 from .symbolic import ClosedForm, evaluate_closed_form, evaluate_jordan, render
 
 __all__ = ["main"]
@@ -388,9 +388,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _resolve_options(args, flags, reads, config)
         return handler(args)
-    except UncancelledPowerError as exc:
-        print(f"meansq: internal cancellation failure: {exc}", file=sys.stderr)
-        return CHECK_FAILED
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR

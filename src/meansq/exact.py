@@ -6,15 +6,10 @@ coefficients that express derivatives of 1/(e^w - 1) as powers of
 1/(e^w - 1), all exact.  The public functions return ``Fraction``s; inside,
 the derivative coefficients are ``int`` rows (``_deriv_row``), which
 ``deriv_coeff`` indexes and the builders downstream and the oracle's
-identity check read whole, so they stay in integers too.  The power sums
-expand with weights C(p, e), and the sine-sum induction and the sigma
-blocks expand one Bernoulli-weighted power sum, all with cells from
-``_weighted_cells``.
-
-Lemma: the Bernoulli-weighted power sum of rank r, sum_{q <= r} B_q C(r, q)
-k^q S(r-q), has one nonzero weight, r at k^1 (``_bernoulli_weights``).
-Proof: its weight of k^e is C(r, e) sum_{q < e} C(e, q) B_q, and that sum is
-[e = 1] by the recurrence that defines B_(e-1).
+identity check read whole, so they stay in integers too.  The sine-sum
+induction and the sigma blocks expand one Bernoulli-weighted power sum,
+whose one nonzero weight, r at k^1, ``_bernoulli_cells`` alone knows (its
+docstring holds the lemma).
 
 Every table (B_q, rows of derivative coefficients) is a ``functools.cache``
 entry keyed by its index and computed from lower indices only, so threads that
@@ -120,28 +115,19 @@ def _deriv_row(q: int) -> tuple[int, ...]:
     return tuple(-j * row[j] - (j - 1) * row[j - 1] for j in range(1, len(row)))
 
 
-def _bernoulli_weights(r: int) -> dict[int, int]:
-    """Weights {e: W_e} of k^e in U = sum_{q <= r} B_q C(r, q) k^q S(r-q): {1: r}.
+def _bernoulli_cells(r: int, e: int, scale: int = 1) -> dict[tuple[int, int], int]:
+    """The Bernoulli-weighted power sum of rank r as cells {(e, alpha): scale * r * A(r-1, alpha)}.
 
-    With S(p) = sum_j C(p, j) k^j sum_alpha A(p-j, alpha) R(alpha), the term
-    (q, j) lands on k^e, e = q + j, and C(r, q) C(r-q, e-q) = C(r, e) C(e, q),
-    so W_e = C(r, e) sum_{q < e} C(e, q) B_q = C(r, e) [e = 1] (S(0) is empty).
-    U's reflected form, which puts sum_{a < r-q} (-1)^(r-q-a) C(r-q, a)
-    k^(q+a) S(r-q-a) for k^q S(r-q), has weights (-1)^(r+e+1) W_e, as
-    C(r-q, a) C(r-q-a, j) = C(r-q, e-q) C(e-q, a): it is (-1)^r U.
+    Lemma: U = sum_{q <= r} B_q C(r, q) k^q S(r-q), with S(p) = sum_j C(p, j)
+    k^j sum_alpha A(p-j, alpha) R(alpha), has one nonzero weight, r at k^1.
+    Proof: the term (q, j) lands on k^(q+j), and C(r, q) C(r-q, j) =
+    C(r, q+j) C(q+j, q), so the weight of k^e is C(r, e) sum_{q < e} C(e, q)
+    B_q, which is [e = 1] by the recurrence that defines B_(e-1) (S(0) is
+    empty).  U's reflected form, which puts sum_{a < r-q} (-1)^(r-q-a)
+    C(r-q, a) k^(q+a) S(r-q-a) for k^q S(r-q), is (-1)^r U, as C(r-q, a)
+    C(r-q-a, j) = C(r-q, e-q) C(e-q, a) signs its weight of k^e by (-1)^(r+e+1).
+
+    The cells are keyed by (k-exponent, order of R), as
+    ``sine_sums._expand_laurent`` reads them; e places the weight's k-power.
     """
-    return {1: r}
-
-
-def _weighted_cells(r: int, weights: dict[int, int], shift: int = 0, scale: int = 1) -> dict[tuple[int, int], int]:
-    """Cells {(e + shift, alpha): scale * W_e * A(r-e, alpha)} of the nonzero weights.
-
-    Keyed by (k-exponent, order of R), as ``sine_sums._expand_laurent`` reads them.
-    """
-    cells: dict[tuple[int, int], int] = {}
-    for e, w in weights.items():
-        w *= scale
-        if w:
-            for alpha, a in enumerate(_deriv_row(r - e), 1):
-                cells[e + shift, alpha] = w * a
-    return cells
+    return {(e, alpha): scale * r * a for alpha, a in enumerate(_deriv_row(r - 1), 1)}

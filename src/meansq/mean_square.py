@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .exact import _bernoulli_weights, _weighted_cells, bernoulli, factorial
+from .exact import _bernoulli_cells, _deriv_row, bernoulli, factorial
 from .multiplicative import _check_int
 from .sine_sums import _published
 from .symbolic import ClosedForm, KLaurent, _Frozen, evaluate_laurent, kl_shift
@@ -99,7 +99,9 @@ def _power_sum(p: int) -> Table:
     with R(n) the reciprocal-power sum from ``sine_sums``; the table maps
     (j, alpha) to the integer C(p,j) A(p-j, alpha).
     """
-    return _Frozen(_weighted_cells(p, {j: comb(p, j) for j in range(1, p + 1)}))
+    return _Frozen(
+        {(j, alpha): comb(p, j) * a for j in range(1, p + 1) for alpha, a in enumerate(_deriv_row(p - j), 1)}
+    )
 
 
 @cache
@@ -156,17 +158,16 @@ def _sigma(kind: str, r: int) -> Mapping:
                        signed by (-1)^(r+e+1), so V = (-1)^r U;
     * ``single``    -- -W_r k^(-r) U, W_r U's weight of k^r.
 
-    U's one nonzero weight is r at k^1 (``exact._bernoulli_weights``), so U
-    and V are integer tables and the convolution multiplies only ints; the
-    scalars are collected per (k-exponent, order of R) and expanded once at
-    the end.
+    U's one nonzero weight is r at k^1 (``exact._bernoulli_cells``), so U
+    and V are integer tables and the convolution multiplies only ints, and
+    W_r = [r = 1]; the scalars are collected per (k-exponent, order of R)
+    and expanded once at the end.
     """
-    weights = _bernoulli_weights(r)
     if kind == "single":
-        table = _weighted_cells(r, weights, shift=-r, scale=-weights.get(r, 0))
+        table = _bernoulli_cells(1, 0, -1) if r == 1 else {}
     else:
-        first = _weighted_cells(r, weights)
-        second = first if kind == "direct" else _weighted_cells(r, weights, scale=(-1) ** r)
+        first = _bernoulli_cells(r, 1)
+        second = first if kind == "direct" else _bernoulli_cells(r, 1, (-1) ** r)
         table = _convolve(first, second, shift=-2 * r)
     return _published(table)
 

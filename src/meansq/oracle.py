@@ -71,8 +71,8 @@ class CharacterGroup:
     """Cyclic decomposition of (Z/kZ)^x with a discrete-log table.
 
     ``factors`` lists (generator, order) pairs whose direct product is the
-    whole unit group; ``dlog`` maps each coprime residue to its exponent
-    vector over those generators.
+    whole unit group; ``dlog`` maps each coprime residue mod k (0 for k = 1)
+    to its exponent vector over those generators.
     """
 
     modulus: int
@@ -89,15 +89,21 @@ class DirichletCharacter:
     """Character determined by its exponents along the cyclic factors.
 
     chi(g_i) = e^(2*pi*i * exponents[i] / order_i); chi vanishes on
-    residues sharing a factor with the modulus.
+    residues sharing a factor with the modulus.  ``exponents`` is a tuple
+    of ints, one per cyclic factor (``()`` mod 1 and 2), stored reduced.
     """
 
     group: CharacterGroup
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        reduced = tuple(e % o for e, o in zip(self.exponents, self.group.orders))
-        object.__setattr__(self, "exponents", reduced)
+        orders, exps = self.group.orders, self.exponents
+        if type(exps) is not tuple or len(exps) != len(orders) or any(type(e) is not int for e in exps):
+            raise ValueError(
+                f"DirichletCharacter: exponents must be a tuple of ints, one per cyclic factor "
+                f"({len(orders)} mod {self.group.modulus}), got {exps!r}"
+            )
+        object.__setattr__(self, "exponents", tuple(e % o for e, o in zip(exps, orders)))
 
     def unit_exponent(self, m: int) -> Fraction | None:
         """theta in [0, 1) with chi(m) = e^(2*pi*i*theta); None if chi(m) = 0."""
@@ -177,7 +183,7 @@ def character_group(k: int) -> CharacterGroup:
         m = 1
         for (g, _), e in zip(factors, vec):
             m = m * pow(g, e, k) % k
-        dlog[m] = vec
+        dlog[m % k] = vec  # at k = 1, m = 1 is the residue 0 that lookups read
     if len(dlog) != len(coprime_residues(k)):
         raise ArithmeticError(f"character_group: decomposition for k={k} is not a direct product")
     return CharacterGroup(modulus=k, factors=tuple(factors), dlog=dlog)

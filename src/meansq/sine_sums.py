@@ -20,9 +20,9 @@ Bernoulli/binomial sums never normalize a fraction:
   R(n) of the real part of (e^(2*pi*i*m/k) - 1)^(-n), reduced to sine
   power sums by 1/(e^(it) - 1) = -(1 + i cot(t/2))/2 and cot^2 = csc^2 - 1:
   binomials of n and one Taylor shift, for both parities;
-* ``_recursion_laurent(n)`` expands the step's Bernoulli-weighted power sum,
-  whose one nonzero weight is n at k^1 (``exact._bernoulli_weights``), into
-  integer cells over n! times B_n's denominator, which its J_n term needs;
+* ``_recursion_row(n)`` expands the step's Bernoulli-weighted power sum,
+  whose one nonzero weight is n at k^1 (``exact._bernoulli_cells``), into
+  one integer row over n! times B_n's denominator, which its J_n term needs;
 * ``_expand_laurent`` collects a {(k-exponent, order of R): numerator}
   table into one integer {sine order: numerator} table per k-exponent and
   multiply-adds it over the rows of the sine sums' plans, into integers per
@@ -30,11 +30,9 @@ Bernoulli/binomial sums never normalize a fraction:
   the mean-square builders and ``recip_power_real_sum`` use too, makes their
   read-only ``Fraction`` view with ``symbolic._fractions``.
 
-The final answer is k-free, so after collecting terms every nonzero k-power
-must have an identically zero coefficient.  That cancellation is *checked*
-on the expanded combinations, not assumed: if any nonzero power survives,
-``UncancelledPowerError`` is raised (it would signal an implementation
-error, since the published expansions carry no k).
+The final answer is k-free, and by the lemma in ``exact`` the step's one
+weight, n at k^1, times its k^(-1) lands on k^0: the table the step expands
+has only k^0 cells, so no k-power is left to cancel.
 
 ``recip_power_real_sum(n)`` publishes R(n) as a Jordan combination.
 
@@ -51,20 +49,15 @@ from math import comb, factorial, gcd, lcm
 
 from mpmath import mp
 
-from .exact import _bernoulli_weights, _weighted_cells, bernoulli
+from .exact import _bernoulli_cells, bernoulli
 from .multiplicative import _check_int, coprime_residues
 from .symbolic import JordanCombo, KLaurent, _Frozen, _fractions, _int_plan
 
 __all__ = [
-    "UncancelledPowerError",
     "sin_sum_exact",
     "sin_sum_numeric",
     "recip_power_real_sum",
 ]
-
-
-class UncancelledPowerError(RuntimeError):
-    """A k-power survived a collection that must be k-free."""
 
 
 @cache
@@ -78,13 +71,7 @@ def _sin(n: int) -> _Frozen:
     else:
         for m in range(2, n, 2):
             _sin(m)
-        cells, den = _recursion_laurent(n)
-        stray = sorted(e for e in cells if e != 0)
-        if stray:
-            raise UncancelledPowerError(
-                f"sine power sum of order {n}: k-exponents {stray} survived collection"
-            )
-        row = cells.get(0, {})
+        row, den = _recursion_row(n)
     g = gcd(den, *row.values())
     den //= g
     row = {s: c // g for s, c in row.items()}
@@ -162,20 +149,20 @@ def recip_power_real_sum(n: int) -> JordanCombo:
     return _published({(0, n): 1}).get(0, _Frozen())
 
 
-def _recursion_laurent(n: int) -> tuple[dict, int]:
-    """The induction step for order n, before collecting k-powers, as ``_expand_laurent`` returns it.
+def _recursion_row(n: int) -> tuple[dict, int]:
+    """The induction step for order n as ({Jordan index: numerator}, denominator).
 
     (-1)^(n/2) 2^n / n! k^(-1) times the Bernoulli-weighted power sum of rank
     n, the order-n sine sum moved out of every R into one J_n term.  Its one
-    nonzero weight, n at k^1, lands on k^0; a weight anywhere else would leave
-    its k-power for ``_sin`` to reject, which tests check through here.
+    nonzero weight, n at k^1, lands on k^0, so the expansion has one row.
     """
     b = bernoulli(n)  # its denominator carried only for the J_n term
-    table = _weighted_cells(n, _bernoulli_weights(n), shift=-1, scale=(-1) ** (n // 2) * 2**n * b.denominator)
+    table = _bernoulli_cells(n, 0, (-1) ** (n // 2) * 2**n * b.denominator)
     cells, total = _expand_laurent(table, factorial(n) * b.denominator, exclude=n)
-    # the J_n term (-1)^(n/2+1) 2^n B_n / n!, last at k^0; total is a multiple of n! B_n's denominator
-    cells.setdefault(0, {})[n] = (-1) ** (n // 2 + 1) * 2**n * b.numerator * (total // factorial(n) // b.denominator)
-    return cells, total
+    row = cells.get(0, {})
+    # the J_n term (-1)^(n/2+1) 2^n B_n / n!, last; total is a multiple of n! B_n's denominator
+    row[n] = (-1) ** (n // 2 + 1) * 2**n * b.numerator * (total // factorial(n) // b.denominator)
+    return row, total
 
 
 def sin_sum_exact(n: int) -> JordanCombo:

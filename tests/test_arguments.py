@@ -18,6 +18,7 @@ from mpmath import mp
 
 from meansq import (
     ClosedForm,
+    DirichletCharacter,
     binomial,
     bernoulli,
     character_group,
@@ -314,6 +315,27 @@ def test_character_is_checked(chi):
     with pytest.raises(ValueError) as info:
         l_value_numeric(3, chi)
     assert str(info.value) == f"l_value_numeric: chi must be a DirichletCharacter, got {type(chi).__name__}"
+
+
+@pytest.mark.parametrize(
+    "k,exponents",
+    [(7, (1, 5, 9)), (7, ()), (7, (0.5,)), (7, (True,)), (7, [1]), (7, "1"), (8, (1,)), (1, (0,)), (2, (1,))],
+    ids=repr,
+)
+def test_character_exponents_are_checked(k, exponents):
+    # one int per cyclic factor, as a tuple: nothing is dropped, padded or read later
+    group = character_group(k)
+    with pytest.raises(ValueError) as info:
+        DirichletCharacter(group, exponents)
+    assert str(info.value) == (
+        f"DirichletCharacter: exponents must be a tuple of ints, one per cyclic factor "
+        f"({len(group.orders)} mod {k}), got {exponents!r}"
+    )
+
+
+@pytest.mark.parametrize("k,exponents,reduced", [(7, (7,), (1,)), (8, (3, -1), (1, 1)), (1, (), ()), (2, (), ())], ids=repr)
+def test_character_exponents_are_reduced(k, exponents, reduced):
+    assert DirichletCharacter(character_group(k), exponents).exponents == reduced
 
 
 BAD_TOLERANCES = ("x", "1e-10", None, True, Fraction(1, 10), -1, -1e-300, float("nan"), float("inf"), mp.mpf("-inf"), mp.nan)

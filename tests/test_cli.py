@@ -504,14 +504,6 @@ class TestConfigValueTypes:
         assert out.strip() == "1/3 J_2"
 
 
-class TestCancellationFailure:
-    def test_sin_sum_exits_1(self, capsys, corrupted_induction):
-        code, out, err = run(capsys, "sin-sum", "--n", str(corrupted_induction))
-        assert code == 1
-        assert out == ""
-        assert "internal cancellation failure" in err
-
-
 # Random argv at small sizes (r <= 12, n <= 20, k <= 60).  One family holds
 # only well-formed values, with every required option; the other mixes in
 # values that must be refused, may leave any option out, and may add one

@@ -182,12 +182,11 @@ print([deriv_coeff(q, j) for q in range(161) for j in range(1, q + 2)])
 """
 
 
-def cold_build(threads: int) -> str:
+def run_script(script: str, *argv: str) -> str:
+    """Run ``script`` in a fresh interpreter that imports this checkout's package; its stdout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", COLD_BUILD, str(threads)], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -195,4 +194,56 @@ def cold_build(threads: int) -> str:
 def test_concurrent_cold_builds_give_the_serial_tables():
     # each table entry is computed from entries of lower index only, so
     # threads that build the tables at once store the values one thread does
-    assert cold_build(4) == cold_build(1)
+    assert run_script(COLD_BUILD, "4") == run_script(COLD_BUILD, "1")
+
+
+# sin_sum_exact(200), mean_square_odd(121), bernoulli(400) and deriv_coeff(300, 7)
+# from nothing, each in its own thread, all four started at one barrier; no thread
+# may raise.  Then, on the values those threads cached: the plan the order-200 sum
+# carries from the integer build must be the one the checked path makes of a plain
+# copy, the sum must match its direct evaluation at 128 bits to 2^-100 relative, a
+# pickled copy, which carries no plan, must evaluate as the planned sum, B_n must be
+# 0 at every odd 3 <= n <= 400, and the denominator of every B_2n, 2n <= 400, must be
+# the von Staudt-Clausen product of the primes p with (p - 1) | 2n
+COLD_FRONTIER = """
+import math
+import pickle
+import threading
+from mpmath import mp
+from meansq import evaluate_jordan, mean_square_odd, sin_sum_exact, sin_sum_numeric, symbolic
+from meansq.exact import bernoulli, deriv_coeff
+builds = [lambda: sin_sum_exact(200), lambda: mean_square_odd(121), lambda: bernoulli(400), lambda: deriv_coeff(300, 7)]
+barrier = threading.Barrier(len(builds))
+errors = []
+
+def build(call):
+    barrier.wait()
+    try:
+        call()
+    except Exception as error:
+        errors.append(repr(error))
+
+threads = [threading.Thread(target=build, args=(call,)) for call in builds]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+assert not errors, errors
+combo = sin_sum_exact(200)
+assert combo._plan == symbolic._build_plan({0: dict(combo)}, "evaluate_jordan")
+for k in (7, 30, 1001):
+    exact = evaluate_jordan(combo, k)
+    with mp.workprec(256):
+        error = abs(mp.mpf(exact.numerator) / exact.denominator / sin_sum_numeric(200, k, 128) - 1)
+    print(f"k = {k}: relative error {mp.nstr(error, 3)}")
+    assert error < mp.mpf(2) ** -100, (k, error)
+    assert evaluate_jordan(pickle.loads(pickle.dumps(combo)), k) == exact, k
+assert all(bernoulli(n) == 0 for n in range(3, 401, 2))
+primes = [p for p in range(2, 402) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+for n in range(2, 401, 2):
+    assert bernoulli(n).denominator == math.prod(p for p in primes if n % (p - 1) == 0), n
+"""
+
+
+def test_cold_frontier_from_four_threads():
+    assert run_script(COLD_FRONTIER).count("relative error") == 3

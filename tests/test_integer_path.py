@@ -15,7 +15,7 @@ from math import comb
 import pytest
 
 from meansq import mean_square, sine_sums, symbolic
-from meansq.exact import _bernoulli_weights, _deriv_row, _weighted_cells, bernoulli, factorial
+from meansq.exact import _bernoulli_cells, _deriv_row, bernoulli, factorial
 from meansq.mean_square import _power_sum
 from meansq.sine_sums import _recip_power_real
 
@@ -90,6 +90,11 @@ def reference_bernoulli_sum(r, q_max, reflected):
     return out
 
 
+def weighted_cells(r, weights):
+    """Cells {(e, alpha): W_e A(r-e, alpha)} of the weights, as the builders key them."""
+    return {(e, alpha): w * a for e, w in weights.items() for alpha, a in enumerate(_deriv_row(r - e), 1)}
+
+
 def over(table, den):
     """An integer table divided by its denominator, zero entries dropped."""
     return {key: Fraction(v, den) for key, v in table.items() if v}
@@ -124,14 +129,13 @@ def test_recip_power_real_table(n):
     assert list(table) == sorted(table, reverse=True)
 
 
-@pytest.mark.parametrize("n", range(2, 61, 2))
+@pytest.mark.parametrize("n", range(2, 201, 2))
 def test_induction_weights(n):
     # the induction scales the Bernoulli weights of rank n by (-1)^(n/2) 2^n / n!
-    # and shifts them to k^(e-1)
-    weights = _bernoulli_weights(n)
-    assert all(type(v) is int for v in weights.values())
-    shifted = {e - 1: (-1) ** (n // 2) * 2**n * w for e, w in weights.items()}
-    assert over(shifted, factorial(n)) == nonzero(reference_induction_weights(n))
+    # and shifts them to k^(e-1): its term sum leaves one weight, on k^0, so
+    # every other k-power cancels
+    closed = Fraction((-1) ** (n // 2) * 2**n * n) / factorial(n)
+    assert nonzero(reference_induction_weights(n)) == {0: closed}
 
 
 @pytest.mark.parametrize("r", range(1, 41))
@@ -140,25 +144,25 @@ def test_bernoulli_weights_match_the_term_sum(r):
     # power sums), r at k^1 at q_max = r - 1 (the sigma blocks) and at q_max = r
     # (the induction); reflected, each is signed (-1)^(r+e+1).  The cells of
     # q_max = 0 are checked here, those of q_max = r - 1 by test_bernoulli_sum
-    weights = _bernoulli_weights(r)
-    assert all(type(v) is int for v in weights.values())
     power = {e: comb(r, e) for e in range(1, r + 1)}
-    assert _power_sum(r) == _weighted_cells(r, power)
-    for q_max, closed in [(0, power), (r - 1, weights), (r, weights)]:
+    assert _power_sum(r) == weighted_cells(r, power)
+    for q_max, closed in [(0, power), (r - 1, {1: r}), (r, {1: r})]:
         for reflected in (False, True):
             want = {e: (-1) ** (r + e + 1) * w if reflected else w for e, w in closed.items()}
             assert nonzero(reference_bernoulli_weights(r, q_max, reflected)) == want, (q_max, reflected)
+            cells = weighted_cells(r, want)
             if q_max == 0:
-                assert _weighted_cells(r, want) == nonzero(reference_bernoulli_sum(r, 0, reflected)), reflected
+                assert cells == nonzero(reference_bernoulli_sum(r, 0, reflected)), reflected
+            else:
+                assert cells == _bernoulli_cells(r, 1, (-1) ** r if reflected else 1), (q_max, reflected)
 
 
 @pytest.mark.parametrize("r", [*range(1, 22, 2), *range(4, 21, 2)])
 def test_bernoulli_sum(r):
     # the sigma blocks' tables, q_max = r - 1 for both parities: U's cells, and
     # the reflected form's, U's signed (-1)^r
-    weights = _bernoulli_weights(r)
     for reflected in (False, True):
-        table = _weighted_cells(r, weights, scale=(-1) ** r if reflected else 1)
+        table = _bernoulli_cells(r, 1, (-1) ** r if reflected else 1)
         assert all(type(v) is int for v in table.values())
         assert table == nonzero(reference_bernoulli_sum(r, r - 1, reflected)), reflected
 
@@ -183,7 +187,7 @@ def test_built_tables_hold_no_zero_cell(monkeypatch):
         for kind in ("single", "reflected", "direct"):
             mean_square._sigma.__wrapped__(kind, r)
         if r % 2 == 0:
-            sine_sums._recursion_laurent(r)
+            sine_sums._recursion_row(r)
     assert len(fed) == 59 * 8 + 29  # per r: power sum, 1 + 3 + 3 sigma tables, induction at even r
     assert all(v for table in fed for v in table.values())
 
@@ -257,9 +261,8 @@ def test_sine_rows_match_the_per_call_rule(reference_expansion):
             want = reference_expansion(mean_square._sigma.__wrapped__, kind, r)
             assert in_order(mean_square._sigma(kind, r)) == in_order(want), (kind, r)
     for n in range(2, 61, 2):
-        cells, den = reference_expansion(sine_sums._recursion_laurent, n)
-        assert list(cells) == [0], n
-        want = [(s, Fraction(c, den)) for s, c in cells[0].items()]
+        row, den = reference_expansion(sine_sums._recursion_row, n)
+        want = [(s, Fraction(c, den)) for s, c in row.items()]
         assert list(sine_sums.sin_sum_exact(n).items()) == want, n
 
 
@@ -276,7 +279,7 @@ def test_expansion_makes_no_fraction(monkeypatch):
 
     monkeypatch.setattr(sine_sums, "Fraction", refuse, raising=False)
     monkeypatch.setattr(symbolic, "Fraction", refuse)
-    expansions = [sine_sums._recursion_laurent(n) for n in range(2, 41, 2)]
+    expansions = [({0: row}, den) for row, den in map(sine_sums._recursion_row, range(2, 41, 2))]
     expansions.append(sine_sums._expand_laurent(mean_square._convolve(_power_sum(5), _power_sum(6))))
     for cells, den in expansions:
         assert type(den) is int

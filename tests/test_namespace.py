@@ -14,6 +14,7 @@ REMOVED = (
     ("exact", "chebyshev_coeffs"),
     ("multiplicative", "Factorization"),
     ("multiplicative", "factorize"),
+    ("sine_sums", "UncancelledPowerError"),
     ("symbolic", "kl_scale"),
     ("symbolic", "jc_add"),
     ("symbolic", "jc_scale"),

@@ -167,6 +167,17 @@ class TestLValues:
             assert abs(value - mp.pi**2 / 8) < mp.mpf(2) ** -110
             assert abs(value.imag) < mp.mpf(2) ** -110
 
+    def test_principal_mod1_and_mod2_at_2(self):
+        # mod 1 every m is the residue 0, where chi_0 is 1: L(2, chi_0) = zeta(2);
+        # mod 2 it is (1 - 2^-2) zeta(2), with the bits it had before the mod-1 key
+        mod1 = l_value_numeric(2, DirichletCharacter(character_group(1), ()), 128)
+        mod2 = l_value_numeric(2, DirichletCharacter(character_group(2), ()), 128)
+        with mp.workprec(128):
+            assert abs(mod1 - mp.zeta(2)) < mp.mpf(2) ** -120
+            assert abs(mod2 - mp.zeta(2) * 3 / 4) < mp.mpf(2) ** -120
+        assert mod2._mpc_ == ((0, 209903271635999890023130392299402173127, -127, 128), (0, 0, 0, 0))
+        assert [DirichletCharacter(character_group(1), ()).value(m) for m in (-1, 0, 1, 7)] == [1] * 4
+
     def test_beta_function_at_3(self):
         chi = characters_with_parity(4, "odd")[0]
         value = l_value_numeric(3, chi, 128)

@@ -9,8 +9,6 @@ from mpmath import mp
 
 from meansq.multiplicative import coprime_residues
 from meansq.sine_sums import (
-    UncancelledPowerError,
-    _recursion_laurent,
     recip_power_real_sum,
     sin_sum_exact,
     sin_sum_numeric,
@@ -59,19 +57,6 @@ class TestExactExpansions:
             combo = sin_sum_exact(n)
             assert combo, f"n={n} unexpectedly empty"
             assert all(c > 0 for c in combo.values()), f"n={n}"
-
-    def test_k_powers_cancel(self):
-        # every nonzero k-exponent of the induction Laurent must vanish
-        for n in range(2, 17, 2):
-            laurent, _ = _recursion_laurent(n)
-            assert set(laurent) <= {0}, f"n={n}: stray exponents {sorted(set(laurent) - {0})}"
-
-    def test_uncancelled_power_is_caught(self, corrupted_induction):
-        n = corrupted_induction
-        assert sin_sum_exact(n - 2) == PUBLISHED[n - 2]
-        assert sorted(_recursion_laurent(n)[0]) == [0, 2]
-        with pytest.raises(UncancelledPowerError, match=r"order 10: k-exponents \[2\]"):
-            sin_sum_exact(n)
 
     def test_returned_copies_are_safe(self):
         a = sin_sum_exact(4)
