@@ -97,6 +97,8 @@ class DirichletCharacter:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.group, CharacterGroup):
+            raise ValueError(f"DirichletCharacter: group must be a CharacterGroup, got {type(self.group).__name__}")
         orders, exps = self.group.orders, self.exponents
         if type(exps) is not tuple or len(exps) != len(orders) or any(type(e) is not int for e in exps):
             raise ValueError(
@@ -106,7 +108,8 @@ class DirichletCharacter:
         object.__setattr__(self, "exponents", tuple(e % o for e, o in zip(exps, orders)))
 
     def unit_exponent(self, m: int) -> Fraction | None:
-        """theta in [0, 1) with chi(m) = e^(2*pi*i*theta); None if chi(m) = 0."""
+        """theta in [0, 1) with chi(m) = e^(2*pi*i*theta) for any int m; None if chi(m) = 0."""
+        _check_int("DirichletCharacter.unit_exponent", "m", m)
         vec = self.group.dlog.get(m % self.group.modulus)
         if vec is None:
             return None
@@ -117,7 +120,8 @@ class DirichletCharacter:
         return theta % 1
 
     def value(self, m: int):
-        """chi(m) as a complex number at the current mpmath precision."""
+        """chi(m) for any int m, as a complex number at the current mpmath precision."""
+        _check_int("DirichletCharacter.value", "m", m)
         theta = self.unit_exponent(m)
         if theta is None:
             return mp.mpc(0)

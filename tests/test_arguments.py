@@ -95,6 +95,8 @@ CONTRACTS = [
     (evaluate_laurent, ({-2: {2: Fraction(1)}}, 12), {"k": 1}),
     (evaluate_closed_form, (FORM, 12, 64), {"k": 3, "precision_bits": 53}),
     (kl_shift, ({0: {1: Fraction(1)}}, 2), {"t": None}),
+    (ODD_CHARACTER.unit_exponent, (2,), {"m": None}),
+    (ODD_CHARACTER.value, (2,), {"m": None}),
 ]
 
 # A record built by character_group, which checks k.
@@ -110,14 +112,14 @@ def _cases():
             below = () if least is None else (least - 1,)
             for value in (*NON_INTEGERS, *below):
                 yield pytest.param(fn, valid, params.index(param), param, least, value,
-                                   id=f"{fn.__name__}-{param}-{value!r}")
+                                   id=f"{fn.__qualname__}-{param}-{value!r}")
 
 
 @pytest.mark.parametrize("fn,valid,index,param,least,value", list(_cases()))
 def test_integer_parameter_is_checked(fn, valid, index, param, least, value):
     args = list(valid)
     args[index] = value
-    name = fn.__name__
+    name = fn.__qualname__
     if type(value) is int:
         message = f"{name}: {param} must be >= {least}, got {value}"
     elif least is None:
@@ -130,17 +132,23 @@ def test_integer_parameter_is_checked(fn, valid, index, param, least, value):
 
 
 def test_every_integer_parameter_is_in_the_table():
-    covered = {(fn.__name__, param) for fn, _, leasts in CONTRACTS for param in leasts}
+    # the public functions and classes, and the public methods of each public class
+    covered = {(fn.__qualname__, param) for fn, _, leasts in CONTRACTS for param in leasts}
     declared = set()
     for module in MODULES:
         mod = importlib.import_module(f"meansq.{module}")
         for public in mod.__all__:
             obj = getattr(mod, public)
-            try:
-                parameters = inspect.signature(obj).parameters.values()
-            except (TypeError, ValueError):
-                continue  # type aliases and exception classes
-            declared |= {(public, p.name) for p in parameters if p.annotation in ("int", int)}
+            callables = [(public, obj)]
+            if inspect.isclass(obj):
+                callables += [(f"{public}.{name}", method) for name, method in vars(obj).items()
+                              if not name.startswith("_") and inspect.isfunction(method)]
+            for name, fn in callables:
+                try:
+                    parameters = inspect.signature(fn).parameters.values()
+                except (TypeError, ValueError):
+                    continue  # type aliases and exception classes
+                declared |= {(name, p.name) for p in parameters if p.annotation in ("int", int)}
     assert declared - EXEMPT == covered
 
 
@@ -331,6 +339,20 @@ def test_character_exponents_are_checked(k, exponents):
         f"DirichletCharacter: exponents must be a tuple of ints, one per cyclic factor "
         f"({len(group.orders)} mod {k}), got {exponents!r}"
     )
+
+
+@pytest.mark.parametrize("group", ("x", None, 5), ids=repr)
+def test_character_group_is_checked(group):
+    with pytest.raises(ValueError) as info:
+        DirichletCharacter(group, (1,))
+    assert str(info.value) == f"DirichletCharacter: group must be a CharacterGroup, got {type(group).__name__}"
+
+
+@pytest.mark.parametrize("m,chi_m", [(-3, 2), (7, 2), (-1, 4), (10, 5)], ids=repr)
+def test_character_reads_every_int(m, chi_m):
+    # negative residues and residues past the modulus read as their class mod 5
+    assert ODD_CHARACTER.value(m) == ODD_CHARACTER.value(chi_m)
+    assert ODD_CHARACTER.unit_exponent(m) == ODD_CHARACTER.unit_exponent(chi_m)
 
 
 @pytest.mark.parametrize("k,exponents,reduced", [(7, (7,), (1,)), (8, (3, -1), (1, 1)), (1, (), ()), (2, (), ())], ids=repr)

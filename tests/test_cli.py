@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from meansq import cli
 from meansq.cli import main
-from meansq.symbolic import parse_closed_form
+from meansq.symbolic import parse_closed_form, render
 
 
 def run(capsys, *argv):
@@ -58,13 +58,19 @@ class TestClosedForm:
     def test_json_round_trips_through_parser(self, capsys):
         from meansq.mean_square import mean_square_even, mean_square_odd
 
-        for r, expected in [(1, list(mean_square_odd(1))), (5, mean_square_odd(5)), (6, mean_square_even(6))]:
+        cases = [(1, list(mean_square_odd(1))), (4, mean_square_even(4)), (5, mean_square_odd(5)),
+                 (6, mean_square_even(6)), (7, mean_square_odd(7))]
+        for r, expected in cases:
             code, out, _ = run(capsys, "closed-form", "--r", str(r), "--format", "json")
             assert code == 0
             data = json.loads(out)
             # r = 1 prints its two forms as a JSON list, whose elements each parse
             parsed = [parse_closed_form(form) for form in data] if r == 1 else parse_closed_form(data)
             assert parsed == expected, r
+            if r > 1:
+                # the printed line renders back from its parse byte for byte
+                line = out.rstrip("\n")
+                assert render(parse_closed_form(line), "json") == line, r
 
 
 class TestSinSum:

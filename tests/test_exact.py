@@ -1,5 +1,6 @@
 """Tests for the exact combinatorial scalar tables."""
 
+import json
 import math
 import os
 import random
@@ -182,11 +183,11 @@ print([deriv_coeff(q, j) for q in range(161) for j in range(1, q + 2)])
 """
 
 
-def run_script(script: str, *argv: str) -> str:
+def run_script(script: str, *argv: str, timeout: int = 120) -> str:
     """Run ``script`` in a fresh interpreter that imports this checkout's package; its stdout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=timeout)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -247,3 +248,16 @@ for n in range(2, 401, 2):
 
 def test_cold_frontier_from_four_threads():
     assert run_script(COLD_FRONTIER).count("relative error") == 3
+
+
+# the reflected and direct sigma blocks up to r = 61, from nothing
+COLD_SIGMA_CANCEL = """
+import sys
+from meansq.cli import main
+sys.exit(main(["identity-check", "--which", "sigma-cancel", "--h", "1..30"]))
+"""
+
+
+def test_cold_sigma_cancel_suite():
+    summary = json.loads(run_script(COLD_SIGMA_CANCEL, timeout=60))["summary"]
+    assert summary == {"total": 59, "passed": 59, "failed": 0}

@@ -332,25 +332,28 @@ def serial_value(cpus, r, k):
 class TestHelperProcesses:
     def test_split_is_bit_identical(self, cpus):
         # three helpers even on a runner with fewer CPUs; the first case,
-        # (3, 3), has two residues, the fewest that split
-        cases = [(r, k) for r in (3, 1, 4, 7) for k in (*range(3, 17), 30, 60, 61)]
+        # (3, 3), has two residues, the fewest that split.  Every value
+        # `verify --r 1,3..7 --k 3..40` reports, and two moduli past it
+        cases = [(r, k) for r in (3, 1, 4, 5, 6, 7) for k in (*range(3, 41), 60, 61)]
         # L-values take their Hurwitz values from the same race: both parities, r = 1 only for odd chi
         l_cases = [
             (r, chi)
-            for k in (3, 5, 12, 13, 30)
+            for k in (*range(3, 14), 30)
             for parity, rs in (("odd", (1, 3)), ("even", (2, 4)))
             for chi in characters_with_parity(k, parity)
             for r in rs
         ]
-        cpus(4)
-        split = [mean_square_numeric(*cases[0])._mpf_]
-        assert len(oracle._helpers) == 1
-        split += [mean_square_numeric(r, k)._mpf_ for r, k in cases[1:]]
-        assert len(oracle._helpers) == 3
-        split += [l_value_numeric(r, chi)._mpc_ for r, chi in l_cases]
-        cpus(1)
-        serial = [mean_square_numeric(r, k)._mpf_ for r, k in cases]
-        assert serial + [l_value_numeric(r, chi)._mpc_ for r, chi in l_cases] == split
+        with deadline(120):
+            cpus(4)
+            split = [mean_square_numeric(*cases[0])._mpf_]
+            assert len(oracle._helpers) == 1
+            split += [mean_square_numeric(r, k)._mpf_ for r, k in cases[1:]]
+            assert len(oracle._helpers) == 3
+            split += [l_value_numeric(r, chi)._mpc_ for r, chi in l_cases]
+            cpus(1)
+            serial = [mean_square_numeric(r, k)._mpf_ for r, k in cases]
+            serial += [l_value_numeric(r, chi)._mpc_ for r, chi in l_cases]
+        assert serial == split
 
     def test_caller_and_helper_keep_separate_cpus(self, cpus, monkeypatch):
         allowed = os.sched_getaffinity(0)
@@ -500,19 +503,29 @@ class TestHelperProcesses:
     def test_cli_process_leaves_no_helper(self):
         # piped stdout and stderr, three helpers whatever the runner's CPU
         # count; the CLI leads a new process group, so a helper that outlived
-        # it would still be found in that group
+        # it would still be found in that group.  After `verify` the same
+        # process takes every L-value for k = 3..12, both parities
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = (
-            "import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2, 3}; "
-            "from meansq.cli import main; sys.exit(main(['verify', '--r', '3', '--k', '30']))"
-        )
+        code = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+from meansq import characters_with_parity, l_value_numeric
+from meansq.cli import main
+status = main(["verify", "--r", "3..7", "--k", "3..40"])
+for k in range(3, 13):
+    for parity, rs in (("odd", (1, 3)), ("even", (2, 4))):
+        for chi in characters_with_parity(k, parity):
+            for r in rs:
+                l_value_numeric(r, chi)
+sys.exit(status)
+"""
         with subprocess.Popen(
             [sys.executable, "-c", code],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True,
         ) as proc:
             try:
-                out, err = proc.communicate(timeout=60)
+                out, err = proc.communicate(timeout=120)
             finally:
                 proc.kill()
         assert (proc.returncode, err) == (0, b"")
